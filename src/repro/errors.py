@@ -88,7 +88,7 @@ class DeadlineExceeded(TransientServerError):
 class ServerBusy(TransientServerError):
     """The server's bounded in-flight queue is full; the request was shed.
 
-    Load-shedding admission control (depth via ``REPRO_SERVER_QUEUE``):
+    Load-shedding admission control (depth via ``TcpTransport(queue_depth=)``):
     rather than queueing without bound and letting latency collapse, the
     server refuses immediately with this typed, retryable error — the
     client's backoff becomes the flow-control signal.

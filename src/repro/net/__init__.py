@@ -7,11 +7,12 @@ The staging substrate reaches its servers through a pluggable *transport*:
   behind its own lock, calls are plain method calls, payloads move by
   reference (zero copies added). This stays the default.
 * :class:`~repro.net.tcp.TcpTransport` — one server **process** per staging
-  server (DataSpaces-style), reached over TCP with length-prefixed binary
-  frames (:mod:`repro.net.frames`), a struct-tagged object codec
-  (:mod:`repro.net.codec`), per-server connection pooling, scatter-gather
-  sends (``sendmsg`` over the codec's iovec output), and pipelined request
-  batching (:mod:`repro.net.tcp`). Wire-level failures map onto the
+  server (DataSpaces-style), reached over one multiplexed TCP connection
+  per server (:mod:`repro.net.mux`) carrying request-id frames
+  (:mod:`repro.net.frames`), a struct-tagged object codec
+  (:mod:`repro.net.codec`), scatter-gather sends (``sendmsg`` over the
+  codec's iovec output), and pipelined request batching
+  (:mod:`repro.net.tcp`). Wire-level failures map onto the
   existing :class:`~repro.errors.ServerUnavailable` /
   :class:`~repro.errors.TransientServerError` taxonomy, so retry/backoff,
   health mark-down, degraded reads, and rebuild work unchanged over sockets.
@@ -31,23 +32,16 @@ shared-memory data plane (segment layout, grants, lifecycle, fallbacks).
 from repro.net.codec import decode, encode
 from repro.net.frames import (
     Frame,
-    FrameDecoder,
     FrameTooLarge,
     MuxFrameDecoder,
     ProtocolError,
     ShortRead,
     WireClosed,
-    recv_frame,
-    recv_frame_any,
-    send_frame,
-    send_frame_v2,
 )
 from repro.net.mux import current_deadline, deadline_scope
 from repro.net.protocol import (
     WIRE_ERRORS,
     decode_message,
-    encode_request,
-    encode_response,
     error_kind_for,
     raise_wire_error,
 )
@@ -61,12 +55,7 @@ from repro.net.transport import (
 __all__ = [
     "encode",
     "decode",
-    "send_frame",
-    "recv_frame",
-    "send_frame_v2",
-    "recv_frame_any",
     "Frame",
-    "FrameDecoder",
     "MuxFrameDecoder",
     "deadline_scope",
     "current_deadline",
@@ -74,8 +63,6 @@ __all__ = [
     "ShortRead",
     "WireClosed",
     "FrameTooLarge",
-    "encode_request",
-    "encode_response",
     "decode_message",
     "error_kind_for",
     "raise_wire_error",

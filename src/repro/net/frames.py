@@ -1,51 +1,31 @@
-"""Length-prefixed message framing over byte streams.
+"""Message framing over byte streams: one layout, one decoder, one sender.
 
-Two frame layouts share the stream. A *v1* frame is the original layout::
-
-    +----------+----------------------+
-    | !I length| payload (length B)   |
-    +----------+----------------------+
-
-The 4-byte big-endian length counts payload bytes only. A frame larger than
-:data:`MAX_FRAME_BYTES` is rejected before any payload is read — a corrupted
-or misaligned length prefix must not turn into a multi-gigabyte allocation.
-
-A *v2* frame carries the multiplexing header the async RPC core rides on —
-a u64 request id (replies are matched to requests by id, never by arrival
-order) and an absolute wall-clock deadline (0.0 = none; both peers share the
-host clock, the transports are strictly local)::
+Every frame carries the multiplexing header the RPC core rides on — a u64
+request id (replies are matched to requests by id, never by arrival order)
+and an absolute wall-clock deadline (0.0 = none; both peers share the host
+clock, the transports are strictly local)::
 
     +--------------+----------+----------------+------------+---------------+
     | !I 0xFFFFFFFF| !I length| !Q request id  | !d deadline| payload       |
     +--------------+----------+----------------+------------+---------------+
 
-The sentinel word (:data:`V2_MAGIC`) is unambiguous: it exceeds
-:data:`MAX_FRAME_BYTES`, so no v1 length can collide with it, and a pure-v1
-decoder that meets a v2 frame fails loudly (``FrameTooLarge``) instead of
-misparsing. V1 frames remain fully accepted everywhere — old tests, golden
-byte streams, and lockstep clients keep decoding unchanged.
+The length counts payload bytes only. A frame larger than
+:data:`MAX_FRAME_BYTES` is rejected before any payload is read — a corrupted
+or misaligned length must not turn into a multi-gigabyte allocation. The
+leading sentinel word (:data:`V2_MAGIC`) is checked on every frame: a stream
+that opens a frame with anything else (a foreign client, the retired
+length-prefixed v1 layout, a misaligned stream) is a :class:`ProtocolError`
+and the connection is dropped.
 
-Consumption styles:
-
-* :func:`send_frame` / :func:`recv_frame` — blocking v1 socket I/O.
-  ``recv_frame`` reads into one preallocated buffer (``recv_into``), so a
-  frame is never reassembled from chunks, and returns a *writable*
-  bytearray — zero-copy decode views over it (:func:`repro.net.codec.decode`
-  with ``copy_arrays=False``) are mutable, matching in-process semantics.
-* :func:`send_frame_v2` / :func:`send_frame_iov_v2` / :func:`recv_frame_any`
-  — the mux forms. ``recv_frame_any`` accepts both layouts and returns a
-  :class:`Frame` (``request_id is None`` marks a v1 frame).
-* :func:`send_frame_iov` — scatter-gather variant: sends an iovec (as
-  produced by :func:`repro.net.codec.encode_iov`) with ``socket.sendmsg``,
-  so header, control bytes, and payload views hit the socket without ever
-  being concatenated into one buffer.
-* :class:`FrameDecoder` — incremental push-style v1 decoder (``feed`` bytes
-  in, pop complete frames out), kept byte-for-byte compatible for the torn
-  frame tests and golden streams.
-* :class:`MuxFrameDecoder` — incremental decoder for the event-loop server:
-  accepts v1 and v2 frames interleaved on one stream and pops
-  :class:`Frame` objects; payloads land in one preallocated writable
-  bytearray each (no chunk-list reassembly).
+The pieces: :func:`frame_header_v2` packs the 24-byte header;
+:func:`send_vectors` is the scatter-gather writer (header, control bytes and
+payload views — e.g. :func:`repro.net.codec.encode_iov` output — reach
+``sendmsg`` without ever being concatenated), shared by the blocking client
+and the non-blocking server loop; :class:`MuxFrameDecoder` is the push-style
+reader. Each decoded payload lands in one preallocated *writable* bytearray
+(no chunk-list reassembly), so zero-copy decode views over it
+(:func:`repro.net.codec.decode` with ``copy_arrays=False``) are mutable,
+matching in-process semantics.
 
 Error taxonomy (all subclass :class:`WireError`):
 
@@ -60,8 +40,11 @@ Error taxonomy (all subclass :class:`WireError`):
 
 from __future__ import annotations
 
+import itertools
 import socket
 import struct
+from collections import deque
+from typing import NamedTuple
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -72,13 +55,8 @@ __all__ = [
     "FrameTooLarge",
     "ProtocolError",
     "Frame",
-    "send_frame",
-    "send_frame_iov",
-    "send_frame_v2",
-    "send_frame_iov_v2",
-    "recv_frame",
-    "recv_frame_any",
-    "FrameDecoder",
+    "frame_header_v2",
+    "send_vectors",
     "MuxFrameDecoder",
 ]
 
@@ -89,15 +67,14 @@ _SENDMSG_MAX_VECS = 512
 # put_many call (a few hundred MB would already be an absurd single batch).
 MAX_FRAME_BYTES = 1 << 31  # 2 GiB
 
-_LEN = struct.Struct("!I")
-
-#: Sentinel length word announcing a v2 (multiplexed) frame. Greater than
-#: MAX_FRAME_BYTES, so it can never be a valid v1 length.
+#: Sentinel word opening every frame. Greater than MAX_FRAME_BYTES, so the
+#: retired v1 layout (a bare ``!I`` length prefix) can never be mistaken
+#: for it.
 V2_MAGIC = 0xFFFFFFFF
-#: The v2 header fields after the sentinel: payload length, request id,
-#: absolute wall-clock deadline (time.time() seconds; 0.0 = no deadline).
-_V2_REST = struct.Struct("!IQd")
-_V2_HEAD = struct.Struct("!IIQd")  # sentinel + the three fields, for senders
+#: Sentinel, payload length, request id, absolute wall-clock deadline
+#: (time.time() seconds; 0.0 = no deadline).
+_V2_HEAD = struct.Struct("!IIQd")
+_MAGIC_BYTES = struct.pack("!I", V2_MAGIC)
 
 
 class WireError(Exception):
@@ -120,103 +97,13 @@ class ProtocolError(WireError):
     """Byte stream or payload is malformed."""
 
 
-def send_frame(sock: socket.socket, payload) -> None:
-    """Write one frame. ``payload`` is bytes-like (bytes/bytearray/memoryview)."""
-    n = len(payload)
-    if n > MAX_FRAME_BYTES:
-        raise FrameTooLarge(f"frame of {n} bytes exceeds cap {MAX_FRAME_BYTES}")
-    # Single sendall for header+payload halves the syscalls on small frames;
-    # for large payloads concatenation would double peak memory, so send the
-    # header separately past a threshold.
-    if n <= 1 << 16:
-        sock.sendall(_LEN.pack(n) + bytes(payload))
-    else:
-        sock.sendall(_LEN.pack(n))
-        sock.sendall(payload)
+class Frame(NamedTuple):
+    """One decoded frame: payload plus its mux header."""
 
-
-def send_frame_iov(sock: socket.socket, parts) -> int:
-    """Write one frame from an iovec without concatenating it.
-
-    ``parts`` is a sequence of bytes-like buffers (the output of
-    ``encode_iov``); the length prefix plus every part goes out through
-    ``sendmsg``, handling partial sends and the kernel's vector-count
-    ceiling. Returns payload bytes sent (excluding the 4-byte header).
-    """
-    n = sum(len(p) for p in parts)
-    if n > MAX_FRAME_BYTES:
-        raise FrameTooLarge(f"frame of {n} bytes exceeds cap {MAX_FRAME_BYTES}")
-    vecs = [memoryview(_LEN.pack(n))]
-    vecs += [memoryview(p).cast("B") for p in parts if len(p)]
-    while vecs:
-        sent = sock.sendmsg(vecs[:_SENDMSG_MAX_VECS])
-        while sent:
-            head = vecs[0]
-            if sent >= len(head):
-                sent -= len(head)
-                vecs.pop(0)
-            else:
-                vecs[0] = head[sent:]
-                sent = 0
-    return n
-
-
-def _recv_exact_into(sock: socket.socket, view: memoryview, *, header: bool) -> None:
-    total = len(view)
-    got = 0
-    while got < total:
-        n = sock.recv_into(view[got:])
-        if n == 0:
-            if header and got == 0:
-                raise WireClosed("connection closed at frame boundary")
-            raise ShortRead(
-                f"connection closed with {total - got} of {total} bytes outstanding"
-            )
-        got += n
-
-
-def recv_frame(sock: socket.socket) -> bytearray:
-    """Read one complete frame payload, blocking.
-
-    The payload lands in a single preallocated buffer via ``recv_into`` —
-    no chunk list, no join copy — and is returned as a writable bytearray
-    so zero-copy decode views over it behave like owned arrays.
-    """
-    header = bytearray(_LEN.size)
-    _recv_exact_into(sock, memoryview(header), header=True)
-    (n,) = _LEN.unpack(header)
-    if n > MAX_FRAME_BYTES:
-        raise FrameTooLarge(f"peer declared {n}-byte frame, cap {MAX_FRAME_BYTES}")
-    payload = bytearray(n)
-    if n:
-        _recv_exact_into(sock, memoryview(payload), header=False)
-    return payload
-
-
-class Frame:
-    """One decoded frame: payload plus the v2 mux header (if present).
-
-    ``request_id is None`` marks a v1 frame — the peer is a lockstep
-    request/response client and replies must preserve arrival order.
-    ``deadline`` is an absolute ``time.time()`` instant (0.0 = none).
-    """
-
-    __slots__ = ("request_id", "deadline", "payload")
-
-    def __init__(self, payload, request_id: int | None = None, deadline: float = 0.0):
-        self.payload = payload
-        self.request_id = request_id
-        self.deadline = deadline
-
-    @property
-    def is_v2(self) -> bool:
-        return self.request_id is not None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Frame(id={self.request_id}, deadline={self.deadline},"
-            f" {len(self.payload)}B)"
-        )
+    payload: bytearray
+    request_id: int
+    #: Absolute ``time.time()`` instant; 0.0 = none.
+    deadline: float = 0.0
 
 
 def frame_header_v2(payload_len: int, request_id: int, deadline: float = 0.0) -> bytes:
@@ -228,83 +115,48 @@ def frame_header_v2(payload_len: int, request_id: int, deadline: float = 0.0) ->
     return _V2_HEAD.pack(V2_MAGIC, payload_len, request_id, deadline)
 
 
-def send_frame_v2(
-    sock: socket.socket, payload, request_id: int, deadline: float = 0.0
-) -> None:
-    """Write one v2 frame (blocking)."""
-    head = frame_header_v2(len(payload), request_id, deadline)
-    n = len(payload)
-    if n <= 1 << 16:
-        sock.sendall(head + bytes(payload))
-    else:
-        sock.sendall(head)
-        sock.sendall(payload)
+def send_vectors(sock: socket.socket, queue: deque) -> bool:
+    """Write ``queue`` (memoryviews, consumed from the left) with ``sendmsg``.
 
-
-def send_frame_iov_v2(
-    sock: socket.socket, parts, request_id: int, deadline: float = 0.0
-) -> int:
-    """Scatter-gather send of one v2 frame; returns payload bytes sent."""
-    n = sum(len(p) for p in parts)
-    head = frame_header_v2(n, request_id, deadline)
-    vecs = [memoryview(head)]
-    vecs += [memoryview(p).cast("B") for p in parts if len(p)]
-    while vecs:
-        sent = sock.sendmsg(vecs[:_SENDMSG_MAX_VECS])
+    Handles partial sends and the kernel's vector-count ceiling. On a
+    blocking socket this returns True once everything is written; on a
+    non-blocking one it stops when the socket would block and returns
+    False, leaving the unsent remainder (a partially sent buffer is
+    replaced by its tail) at the front of ``queue``.
+    """
+    while queue:
+        try:
+            sent = sock.sendmsg(list(itertools.islice(queue, _SENDMSG_MAX_VECS)))
+        except (BlockingIOError, InterruptedError):
+            return False
         while sent:
-            first = vecs[0]
-            if sent >= len(first):
-                sent -= len(first)
-                vecs.pop(0)
+            head = queue[0]
+            if sent >= len(head):
+                sent -= len(head)
+                queue.popleft()
             else:
-                vecs[0] = first[sent:]
+                queue[0] = head[sent:]
                 sent = 0
-    return n
-
-
-def recv_frame_any(sock: socket.socket) -> Frame:
-    """Read one frame of either version, blocking; payload is a writable
-    bytearray (see :func:`recv_frame`)."""
-    header = bytearray(_LEN.size)
-    _recv_exact_into(sock, memoryview(header), header=True)
-    (word,) = _LEN.unpack(header)
-    if word == V2_MAGIC:
-        rest = bytearray(_V2_REST.size)
-        _recv_exact_into(sock, memoryview(rest), header=False)
-        n, request_id, deadline = _V2_REST.unpack(rest)
-        if n > MAX_FRAME_BYTES:
-            raise FrameTooLarge(f"peer declared {n}-byte frame, cap {MAX_FRAME_BYTES}")
-        payload = bytearray(n)
-        if n:
-            _recv_exact_into(sock, memoryview(payload), header=False)
-        return Frame(payload, request_id, deadline)
-    n = word
-    if n > MAX_FRAME_BYTES:
-        raise FrameTooLarge(f"peer declared {n}-byte frame, cap {MAX_FRAME_BYTES}")
-    payload = bytearray(n)
-    if n:
-        _recv_exact_into(sock, memoryview(payload), header=False)
-    return Frame(payload)
+    return True
 
 
 class MuxFrameDecoder:
-    """Incremental decoder accepting v1 and v2 frames on one stream.
+    """Incremental frame decoder: feed arbitrary byte chunks, pop frames.
 
-    Push-style like :class:`FrameDecoder`, but pops :class:`Frame` objects
-    and assembles each payload into one preallocated *writable* bytearray
-    (zero-copy decode views over popped payloads stay mutable). This is the
-    read path of the event-loop server: ``feed`` whatever ``recv`` returned,
-    pop frames, never block.
+    ``feed`` never blocks and tolerates any split of the stream — one byte
+    at a time, header torn across chunks, many frames in one chunk. This is
+    the read path of both the event-loop server and the client's reader
+    thread: ``feed`` whatever ``recv`` returned, pop frames. ``close``
+    signals EOF: clean at a boundary, :class:`ShortRead` mid-frame.
     """
 
-    __slots__ = ("_head", "_need_head", "_payload", "_filled", "_pending_frame", "_frames", "_closed")
+    __slots__ = ("_head", "_frame", "_filled", "_frames", "_closed")
 
     def __init__(self) -> None:
         self._head = bytearray()
-        self._need_head = _LEN.size
-        self._payload: bytearray | None = None
+        # Header parsed, payload (preallocated) still filling.
+        self._frame: Frame | None = None
         self._filled = 0
-        self._pending_frame: Frame | None = None
         self._frames: list[Frame] = []
         self._closed = False
 
@@ -313,127 +165,52 @@ class MuxFrameDecoder:
             raise ProtocolError("feed() after close()")
         view = memoryview(data)
         while len(view):
-            if self._payload is None:
-                take = min(self._need_head - len(self._head), len(view))
+            if self._frame is None:
+                take = min(_V2_HEAD.size - len(self._head), len(view))
                 self._head += view[:take]
                 view = view[take:]
-                if len(self._head) < self._need_head:
-                    return
-                if self._need_head == _LEN.size:
-                    (word,) = _LEN.unpack(self._head)
-                    if word == V2_MAGIC:
-                        # A v2 frame: wait for the 16 remaining header bytes.
-                        self._need_head = _LEN.size + _V2_REST.size
-                        continue
-                    if word > MAX_FRAME_BYTES:
-                        raise FrameTooLarge(
-                            f"peer declared {word}-byte frame, cap {MAX_FRAME_BYTES}"
-                        )
-                    self._begin_payload(Frame(None), word)
-                else:
-                    n, request_id, deadline = _V2_REST.unpack_from(
-                        self._head, _LEN.size
+                # The sentinel is judged as soon as its four bytes are in:
+                # a foreign stream is refused without waiting for 20 more.
+                if len(self._head) >= 4 and self._head[:4] != _MAGIC_BYTES:
+                    raise ProtocolError(
+                        f"frame opens with 0x{self._head[:4].hex()},"
+                        f" not the v2 sentinel 0x{V2_MAGIC:08x}"
                     )
-                    if n > MAX_FRAME_BYTES:
-                        raise FrameTooLarge(
-                            f"peer declared {n}-byte frame, cap {MAX_FRAME_BYTES}"
-                        )
-                    self._begin_payload(Frame(None, request_id, deadline), n)
-                continue
-            take = min(len(self._payload) - self._filled, len(view))
-            self._payload[self._filled : self._filled + take] = view[:take]
-            self._filled += take
-            view = view[take:]
-            if self._filled == len(self._payload):
-                frame = self._pending_frame
-                frame.payload = self._payload
-                self._frames.append(frame)
-                self._payload = None
-                self._pending_frame = None
-
-    def _begin_payload(self, frame: Frame, n: int) -> None:
-        self._head.clear()
-        self._need_head = _LEN.size
-        self._payload = bytearray(n)
-        self._filled = 0
-        self._pending_frame = frame
-        if n == 0:
-            frame.payload = self._payload
-            self._frames.append(frame)
-            self._payload = None
-            self._pending_frame = None
+                if len(self._head) < _V2_HEAD.size:
+                    return
+                _magic, n, request_id, deadline = _V2_HEAD.unpack(self._head)
+                if n > MAX_FRAME_BYTES:
+                    raise FrameTooLarge(
+                        f"peer declared {n}-byte frame, cap {MAX_FRAME_BYTES}"
+                    )
+                self._head.clear()
+                self._frame = Frame(bytearray(n), request_id, deadline)
+                self._filled = 0
+            else:
+                payload = self._frame.payload
+                take = min(len(payload) - self._filled, len(view))
+                payload[self._filled : self._filled + take] = view[:take]
+                self._filled += take
+                view = view[take:]
+            if self._filled == len(self._frame.payload):
+                self._frames.append(self._frame)
+                self._frame = None
 
     def close(self) -> None:
         """Signal end-of-stream. Raises ShortRead if a frame is in flight."""
         self._closed = True
-        if self._head or self._payload is not None:
+        if self.pending_bytes:
             raise ShortRead("stream ended mid-frame")
 
     @property
     def pending_bytes(self) -> int:
-        """Bytes buffered toward an incomplete frame."""
-        n = len(self._head)
-        if self._payload is not None:
-            n += self._filled
-        return n
+        """Bytes consumed toward an incomplete frame (its header included)."""
+        if self._frame is None:
+            return len(self._head)
+        return _V2_HEAD.size + self._filled
 
     def frames(self) -> list[Frame]:
         """Pop all completed frames (in arrival order)."""
         out = self._frames
         self._frames = []
         return out
-
-
-class FrameDecoder:
-    """Incremental frame decoder: feed arbitrary byte chunks, pop frames.
-
-    ``feed`` never blocks and tolerates any split of the stream — one byte at
-    a time, header torn across chunks, many frames in one chunk. ``close``
-    signals EOF: clean at a boundary, :class:`ShortRead` mid-frame.
-    """
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-        self._frames: list[bytes] = []
-        self._closed = False
-
-    def feed(self, data) -> None:
-        if self._closed:
-            raise ProtocolError("feed() after close()")
-        self._buf += data
-        while True:
-            if len(self._buf) < _LEN.size:
-                return
-            (n,) = _LEN.unpack_from(self._buf)
-            if n > MAX_FRAME_BYTES:
-                raise FrameTooLarge(
-                    f"peer declared {n}-byte frame, cap {MAX_FRAME_BYTES}"
-                )
-            total = _LEN.size + n
-            if len(self._buf) < total:
-                return
-            self._frames.append(bytes(self._buf[_LEN.size : total]))
-            del self._buf[:total]
-
-    def close(self) -> None:
-        """Signal end-of-stream. Raises ShortRead if a frame is in flight."""
-        self._closed = True
-        if self._buf:
-            raise ShortRead(
-                f"stream ended with {len(self._buf)} buffered byte(s) mid-frame"
-            )
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered toward an incomplete frame."""
-        return len(self._buf)
-
-    def frames(self) -> list[bytes]:
-        """Pop all completed frames (in arrival order)."""
-        out = self._frames
-        self._frames = []
-        return out
-
-    def __iter__(self):
-        while self._frames:
-            yield self._frames.pop(0)

@@ -5,18 +5,16 @@ channel: any number of caller threads send v2 frames (fresh u64 request ids,
 the caller's deadline stamped in the header) and park on per-request
 futures; a dedicated reader thread demultiplexes replies **by id**, so
 completions may arrive in any order — a slow request no longer head-of-line
-blocks the connection it shares. This retires the connection-per-concurrent
--request scaling of the v1 pool: an endpoint needs ~1–2 sockets total
-(``REPRO_MUX_CONNECTIONS``), not one per caller thread.
+blocks the connection it shares, and an endpoint needs one socket total,
+not one per caller thread.
 
 Send path — coalesced writes. Senders append their frame's iovec to a
 shared outbox and one of them (whoever wins the non-blocking flush lock)
 drains it with batched ``sendmsg`` calls. Under concurrency this folds many
-small frames into single syscalls — on loopback, where per-op syscall and
-wakeup cost dominates small-payload round trips, this is where the mux
-path's throughput win over the pooled v1 path comes from. The flusher
-re-checks the outbox after releasing the lock, so an iovec enqueued while a
-flush was in flight is never stranded.
+small frames into single syscalls — on loopback, per-op syscall and wakeup
+cost dominates small-payload round trips. The flusher re-checks the outbox
+after releasing the lock, so an iovec enqueued while a flush was in flight
+is never stranded.
 
 Failure semantics. A wire-level failure (reset, EOF, torn frame) fails
 *every* pending future with the underlying error — the stream position is
@@ -37,41 +35,24 @@ budget the server uses to drop requests that expired in its queue.
 from __future__ import annotations
 
 import itertools
-import os
 import socket
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as _FutureTimeout
 
 from repro.net.frames import (
     MuxFrameDecoder,
-    ProtocolError,
     ShortRead,
     WireClosed,
     WireError,
     frame_header_v2,
+    send_vectors,
 )
 from repro.obs import registry as _obs
 
-__all__ = [
-    "MUX_ENV",
-    "MUX_CONNECTIONS_ENV",
-    "mux_enabled",
-    "mux_connections_per_endpoint",
-    "current_deadline",
-    "deadline_scope",
-    "MuxConnection",
-]
-
-#: Client-side switch for the multiplexed path; "0" falls back to the v1
-#: pooled lockstep path (kept as the measurable baseline — see
-#: ``benchmarks/bench_transport.py``'s mux section).
-MUX_ENV = "REPRO_MUX"
-#: Sockets per endpoint in mux mode. One is enough for correctness; two can
-#: help when a single reader thread becomes the bottleneck on many-core
-#: hosts. The v1 pool needed one socket per concurrent caller.
-MUX_CONNECTIONS_ENV = "REPRO_MUX_CONNECTIONS"
+__all__ = ["current_deadline", "deadline_scope", "MuxConnection"]
 
 _REQUESTS = _obs.counter("net.mux.requests")
 _CONNECTIONS = _obs.counter("net.mux.connections")
@@ -80,19 +61,7 @@ _COALESCED = _obs.counter("net.mux.coalesced_sends")
 _SEND_BATCH = _obs.histogram("net.mux.send_batch.frames")
 _TIMEOUTS = _obs.counter("net.mux.timeouts")
 
-_SENDMSG_MAX_VECS = 512
 _RECV_CHUNK = 1 << 18
-
-
-def mux_enabled() -> bool:
-    """Whether new endpoints multiplex (read per endpoint, not at import,
-    so benchmarks and tests can flip the env var between groups)."""
-    return os.environ.get(MUX_ENV, "").strip() not in ("0", "off", "false")
-
-
-def mux_connections_per_endpoint() -> int:
-    raw = os.environ.get(MUX_CONNECTIONS_ENV, "").strip()
-    return max(1, int(raw)) if raw else 1
 
 
 # --------------------------------------------------------------- deadlines
@@ -142,7 +111,7 @@ class MuxConnection:
         self._ids = itertools.count(1)
         self._pending: dict[int, Future] = {}
         self._pending_lock = threading.Lock()
-        self._outbox: list = []
+        self._outbox: deque = deque()
         self._outbox_lock = threading.Lock()
         self._flush_lock = threading.Lock()
         self._dead: BaseException | None = None
@@ -209,10 +178,11 @@ class MuxConnection:
                 return
             try:
                 with self._outbox_lock:
-                    batch, self._outbox = self._outbox, []
+                    batch, self._outbox = self._outbox, deque()
                 if not batch:
                     return
-                self._flush(batch)
+                _SEND_BATCH.record(len(batch))
+                send_vectors(self.sock, batch)
             except OSError as exc:
                 self._fail(exc)
                 raise
@@ -221,19 +191,6 @@ class MuxConnection:
             with self._outbox_lock:
                 if not self._outbox:
                     return
-
-    def _flush(self, vecs: list) -> None:
-        _SEND_BATCH.record(len(vecs))
-        while vecs:
-            sent = self.sock.sendmsg(vecs[:_SENDMSG_MAX_VECS])
-            while sent:
-                head = vecs[0]
-                if sent >= len(head):
-                    sent -= len(head)
-                    vecs.pop(0)
-                else:
-                    vecs[0] = head[sent:]
-                    sent = 0
 
     # ------------------------------------------------------------ read side
 
@@ -252,8 +209,6 @@ class MuxConnection:
                     raise WireClosed("connection closed at frame boundary")
                 decoder.feed(data)
                 for frame in decoder.frames():
-                    if frame.request_id is None:
-                        raise ProtocolError("v1 reply on a multiplexed connection")
                     with self._pending_lock:
                         future = self._pending.pop(frame.request_id, None)
                     if future is not None:

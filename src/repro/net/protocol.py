@@ -16,14 +16,12 @@ Batched requests (the pipelining path) wrap N requests in one frame::
 
     ("batch", [("req", op, args), ...])  →  ("batch_ok", [response, ...])
 
-The shared-memory transport (:mod:`repro.net.shm`) uses *doorbell* variants
-that differ only in carrying segment context: ``("sreq", op, args, grant)``
-and ``("sbatch", [("req", op, args), ...], grant)``, where ``grant`` is
-either ``None`` or ``("grant", segment_name, generation, capacity)`` — a
-client-owned response segment the server may scatter bulk reply payloads
-into. Values inside ``args`` / responses may themselves be
-:class:`~repro.net.codec.SegRef` tags pointing into shared segments; the
-reply shapes are the plain ``("ok", ...)`` / ``("batch_ok", ...)`` tuples.
+The shared-memory transport (:mod:`repro.net.shm`) sends the same shapes;
+values inside ``args`` / responses may be :class:`~repro.net.codec.SegRef`
+tags pointing into shared segments. Only a request that *grants* the server
+a response segment has its own shape, ``("sreq", op, args, grant)`` with
+``grant = ("grant", segment_name, generation, capacity)`` — a client-owned
+segment the server may scatter bulk reply payloads into.
 
 where each inner response is itself an ``("ok", ...)`` or ``("err", ...)``
 tuple — one slow/faulty op in a batch doesn't poison its neighbours; the
@@ -56,11 +54,8 @@ from repro.obs import registry as _obs
 
 __all__ = [
     "WIRE_ERRORS",
-    "encode_request",
     "encode_request_iov",
-    "encode_batch",
     "encode_batch_iov",
-    "encode_response",
     "encode_response_iov",
     "encode_error",
     "decode_message",
@@ -104,32 +99,17 @@ def error_kind_for(exc: BaseException) -> str:
     return "staging"
 
 
-def encode_request(op: str, args: tuple) -> bytes:
-    return encode(("req", op, args))
-
-
 def encode_request_iov(op: str, args: tuple, *, grant=None, array_sink=None) -> list:
-    """Request as an iovec; with ``grant``/``array_sink`` it becomes the shm
-    doorbell form ``("sreq", op, args, grant)``."""
-    if grant is None and array_sink is None:
-        return encode_iov(("req", op, args))
+    """Request as an iovec; with a ``grant`` it takes the shm form
+    ``("sreq", op, args, grant)``."""
+    if grant is None:
+        return encode_iov(("req", op, args), array_sink=array_sink)
     return encode_iov(("sreq", op, args, grant), array_sink=array_sink)
 
 
-def encode_batch(requests: list) -> bytes:
-    """Encode N ``("req", op, args)`` tuples into one pipelined frame."""
-    return encode(("batch", requests))
-
-
 def encode_batch_iov(requests: list, *, array_sink=None) -> list:
-    """Pipelined batch as an iovec; with a sink it becomes ``("sbatch", ...)``."""
-    if array_sink is None:
-        return encode_iov(("batch", requests))
-    return encode_iov(("sbatch", requests, None), array_sink=array_sink)
-
-
-def encode_response(value) -> bytes:
-    return encode(("ok", value))
+    """N ``("req", op, args)`` tuples as one pipelined frame's iovec."""
+    return encode_iov(("batch", requests), array_sink=array_sink)
 
 
 def encode_response_iov(value, *, array_sink=None) -> list:
@@ -206,7 +186,7 @@ def peek_request_kind(payload) -> tuple[str | None, str | None]:
     if tag in ("req", "sreq"):
         op, _ = _peek_str(view, end)
         return tag, op
-    if tag in ("batch", "sbatch"):
+    if tag == "batch":
         return tag, None
     return None, None
 
@@ -229,9 +209,6 @@ def decode_message(payload, *, array_source=None, copy_arrays: bool = True) -> t
     elif tag == "sreq":
         if len(msg) != 4 or not isinstance(msg[1], str) or not isinstance(msg[2], tuple):
             raise ProtocolError("malformed shm request message")
-    elif tag == "sbatch":
-        if len(msg) != 3 or not isinstance(msg[1], list):
-            raise ProtocolError("malformed shm batch request")
     elif tag == "ok":
         if len(msg) != 2:
             raise ProtocolError("malformed ok response")

@@ -1,7 +1,7 @@
 """Shared-memory transport: zero-copy bulk data plane, doorbell control plane.
 
 One OS process per staging server, exactly like :class:`~repro.net.tcp.
-TcpTransport` (whose spawn, admin-op, pooling, and error-mapping machinery
+TcpTransport` (whose spawn, admin-op, connection, and error-mapping machinery
 this module reuses wholesale) — but bulk ndarray payloads move through
 ``multiprocessing.shared_memory`` segments instead of TCP frames. Only small
 control messages cross the socket, which degrades into a *doorbell*:
@@ -94,14 +94,14 @@ _ALIGN = 64
 
 #: Arrays below this many bytes stay inline on the doorbell frame — a tiny
 #: memcpy beats segment bookkeeping.
-MIN_ARRAY_BYTES = int(os.environ.get("REPRO_SHM_MIN_ARRAY", "") or 4096)
+MIN_ARRAY_BYTES = 4096
 #: Per-endpoint ceiling on live segment bytes; past it, requests fall back
 #: to wire frames instead of growing /dev/shm without bound.
 POOL_CAPACITY_BYTES = int(
     os.environ.get("REPRO_SHM_POOL_BYTES", "") or 256 * 1024 * 1024
 )
 #: Smallest slab ever created (allocations round up to powers of two).
-MIN_SLAB_BYTES = int(os.environ.get("REPRO_SHM_MIN_SLAB", "") or 1 << 20)
+MIN_SLAB_BYTES = 1 << 20
 
 _SEGMENTS_CREATED = _obs.counter("net.shm.segments_created")
 _SEGMENT_REUSES = _obs.counter("net.shm.segment_reuses")

@@ -1,8 +1,8 @@
-"""TCP transport: server processes, connection pool, remote server proxies.
+"""TCP transport: server processes, one connection each, remote server proxies.
 
 The parent spawns one OS process per staging server
-(:mod:`repro.net.tcpserver` is the process body) and talks to each over
-pooled TCP connections with length-prefixed frames. ``group.servers`` is
+(:mod:`repro.net.tcpserver` is the process body) and talks to each over one
+multiplexed TCP connection (:mod:`repro.net.frames`). ``group.servers`` is
 populated with :class:`RemoteServer` proxies exposing the exact
 :class:`~repro.staging.server.StagingServer` method surface, so the client,
 resilience, checkpoint, and runtime layers run unmodified.
@@ -24,8 +24,8 @@ working unchanged over sockets; table reproduced in DESIGN.md §13):
 
 Refused and reset are fail-stop (the process is gone — retrying cannot
 help; rebuild can); timeouts are transient (the server may just be slow or
-the packet lost). Any failed connection is discarded, never returned to the
-pool: its stream position is unknowable after an error.
+the packet lost). Any failed connection is discarded and redialled, never
+reused: its stream position is unknowable after an error.
 
 ``put``/``put_many`` are acknowledged with ``None`` over the wire rather
 than echoing the stored objects back (no group-level caller consumes them;
@@ -34,50 +34,41 @@ the inproc return values exist for direct server use). ``put_many`` and
 round trip — and :meth:`RemoteServer.pipeline` additionally packs arbitrary
 op sequences into one frame (one round trip for N ops).
 
-Connections. By default every endpoint *multiplexes*: all caller threads
-share ~1 socket (``REPRO_MUX_CONNECTIONS``) through
-:class:`~repro.net.mux.MuxConnection` — v2 frames with request ids, replies
-demuxed by a reader thread, the calling thread's
-:func:`~repro.net.mux.deadline_scope` deadline stamped into every header.
-``REPRO_MUX=0`` falls back to the v1 pooled path (one lockstep socket per
-concurrent caller), whose idle pool is capped (``REPRO_TCP_POOL_IDLE``,
-``net.tcp.pool_idle`` gauge) instead of growing with the historical maximum
-of thread concurrency. On a mux connection a *timeout* fails only its own
-request; any other wire failure retires the connection for everyone sharing
-it (stream position unknowable — same rule as the pool, applied once).
+Connections. Every endpoint *multiplexes*: all caller threads share one
+socket through :class:`~repro.net.mux.MuxConnection` — frames with request
+ids, replies demuxed by a reader thread, the calling thread's
+:func:`~repro.net.mux.deadline_scope` deadline stamped into every header. A
+*timeout* fails only its own request; any other wire failure retires the
+connection for everyone sharing it, and the next request dials a fresh one.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import socket
 import sys
 import threading
 import weakref
-from time import perf_counter
+from functools import partial
+from time import perf_counter, time
 
 from repro.errors import (
     ServerUnavailable,
     TransientServerError,
 )
-from repro.net.frames import WireClosed, WireError, recv_frame, send_frame, send_frame_iov
-from repro.net.mux import (
-    MuxConnection,
-    current_deadline,
-    mux_connections_per_endpoint,
-    mux_enabled,
-)
+from repro.net.frames import WireClosed, WireError
+from repro.net.mux import MuxConnection, current_deadline
 from repro.net.protocol import (
     decode_message,
     encode_batch_iov,
-    encode_request,
     encode_request_iov,
     raise_wire_error,
 )
-from repro.net.tcpserver import SERVER_OPS, run_server, server_config
+from repro.net.tcpserver import INSPECTABLE, SERVER_OPS, run_server
 from repro.net.transport import Transport
 from repro.obs import registry as _obs
+from repro.staging.index import SpatialIndex
+from repro.staging.store import ObjectStore
 
 __all__ = ["TcpTransport", "RemoteServer", "RemoteFaultHandle", "shutdown_all"]
 
@@ -94,21 +85,9 @@ _SPAWN_SECONDS = _obs.histogram("net.tcp.spawn.seconds")
 #: Seconds to wait for a response before declaring the request transient.
 #: Generous: a slow-faulted server must look *slow*, not failed, exactly as
 #: it does in-process (where the caller simply blocks).
-REQUEST_TIMEOUT = float(os.environ.get("REPRO_TCP_TIMEOUT", "") or 30.0)
-CONNECT_TIMEOUT = float(os.environ.get("REPRO_TCP_CONNECT_TIMEOUT", "") or 5.0)
+REQUEST_TIMEOUT = 30.0
+CONNECT_TIMEOUT = 5.0
 SPAWN_TIMEOUT = 60.0
-#: Max idle sockets an endpoint's v1 pool retains; overflow is closed on
-#: return. Before the cap the pool grew to the historical max of concurrent
-#: callers and never shrank.
-POOL_MAX_IDLE = int(os.environ.get("REPRO_TCP_POOL_IDLE", "") or 8)
-#: Hard ceiling on concurrently checked-out v1 sockets per endpoint
-#: (0 = unlimited). At the cap, borrowers block until a socket comes back —
-#: the lockstep path's socket count becomes a real budget (fd limits,
-#: equal-socket comparisons against the one-socket mux path) instead of
-#: scaling with caller concurrency.
-POOL_CAP_ENV = "REPRO_TCP_POOL_CAP"
-
-_POOL_IDLE = _obs.gauge("net.tcp.pool_idle")
 
 _mp_lock = threading.Lock()
 _mp_ctx = None
@@ -152,107 +131,54 @@ def _map_wire_error(exc: BaseException, server_id: int):
 
 
 class _Endpoint:
-    """One server process + a pool of connections to it."""
+    """One server process + the one shared connection to it."""
 
     def __init__(self, server_id: int, process, port: int) -> None:
         self.server_id = server_id
         self.process = process
         self.port = port
-        self._idle: list[socket.socket] = []
         self._lock = threading.Lock()
         self._closed = False
-        cap = int(os.environ.get(POOL_CAP_ENV, "") or 0)
-        self._pool_sem = threading.BoundedSemaphore(cap) if cap > 0 else None
-        # Mux mode (the default): every caller thread shares these few
-        # connections; the v1 pool above stays empty. Resolved per endpoint
-        # so tests/benchmarks can flip REPRO_MUX between groups.
-        self._mux = mux_enabled()
-        self._mux_target = mux_connections_per_endpoint()
-        self._mux_conns: list[MuxConnection] = []
-        self._mux_rr = 0
+        # Shared by every caller thread; dialled on first use and again
+        # whenever the previous one has died.
+        self._conn: MuxConnection | None = None
 
-    # ------------------------------------------------------------- sockets
+    # ---------------------------------------------------------- connection
 
-    def _dial(self) -> socket.socket:
+    def _dial(self) -> MuxConnection:
         sock = socket.create_connection(
             ("127.0.0.1", self.port), timeout=CONNECT_TIMEOUT
         )
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(REQUEST_TIMEOUT)
         _CONNECTS.inc()
-        return sock
+        return MuxConnection(sock, self.server_id)
 
-    def _borrow(self) -> socket.socket:
-        if self._pool_sem is not None:
-            self._pool_sem.acquire()
-        try:
-            with self._lock:
-                if self._closed:
-                    raise ServerUnavailable(self.server_id, "transport closed")
-                if self._idle:
-                    sock = self._idle.pop()
-                    _POOL_IDLE.add(-1)
-                    return sock
-            return self._dial()
-        except BaseException:
-            if self._pool_sem is not None:
-                self._pool_sem.release()
-            raise
-
-    def _give_back(self, sock: socket.socket) -> None:
-        self._discard(sock, reuse=True)
-
-    def _discard(self, sock: socket.socket, reuse: bool) -> None:
-        """Finish a borrow: pool the socket (idle cap) or close it.
-
-        ``reuse=False`` marks a stream whose state is unknowable (any wire
-        failure) — closed, never pooled. Either way the borrow accounted
-        against ``REPRO_TCP_POOL_CAP`` is released.
-        """
-        try:
-            if reuse:
-                with self._lock:
-                    if not self._closed and len(self._idle) < POOL_MAX_IDLE:
-                        self._idle.append(sock)
-                        _POOL_IDLE.add(1)
-                        return
-            sock.close()
-        finally:
-            if self._pool_sem is not None:
-                self._pool_sem.release()
-
-    def _mux_conn(self) -> MuxConnection:
-        """A live shared connection (round-robin over ``_mux_target``)."""
+    def _connection(self) -> MuxConnection:
+        """The live shared connection, dialling one if there is none."""
         with self._lock:
             if self._closed:
                 raise ServerUnavailable(self.server_id, "transport closed")
-            live = [c for c in self._mux_conns if not c.dead]
-            if len(live) < self._mux_target:
-                self._mux_conns = live  # drop dead ones
-            else:
-                self._mux_rr = (self._mux_rr + 1) % len(live)
-                return live[self._mux_rr]
+            conn = self._conn
+            if conn is not None and not conn.dead:
+                return conn
         # Dial outside the lock (connect can block); concurrent first
         # callers may race here, so re-check before keeping the new conn.
-        conn = MuxConnection(self._dial(), self.server_id)
+        conn = self._dial()
         with self._lock:
             if self._closed:
                 conn.close()
                 raise ServerUnavailable(self.server_id, "transport closed")
-            live = [c for c in self._mux_conns if not c.dead]
-            if len(live) < self._mux_target:
-                live.append(conn)
-                self._mux_conns = live
+            winner = self._conn
+            if winner is None or winner.dead:
+                self._conn = conn
                 return conn
-            self._mux_conns = live
-            winner = live[self._mux_rr % len(live)]
-        conn.close()  # lost the race: someone else filled the slot
+        conn.close()  # lost the race: someone else already redialled
         return winner
 
-    def _retire_mux_conn(self, conn: MuxConnection) -> None:
+    def _retire(self, conn: MuxConnection) -> None:
         with self._lock:
-            if conn in self._mux_conns:
-                self._mux_conns.remove(conn)
+            if self._conn is conn:
+                self._conn = None
         conn.close()
 
     # ------------------------------------------------------------- requests
@@ -267,63 +193,31 @@ class _Endpoint:
         Replies decode with ``copy_arrays=False``: arrays are views over the
         private, writable reply buffer (or, via ``array_source``, over a
         granted shared segment) — every consumer either copies into its own
-        destination or may treat the buffer as owned.
+        destination or may treat the buffer as owned. The reply payload is
+        decoded *here*, on the caller's thread — never in the reader —
+        because decoding may resolve SegRefs through a per-request
+        ``array_source``. A timeout keeps the connection (only this request
+        is abandoned; its late reply is dropped by id); every other wire
+        failure retires the shared connection.
         """
         t0 = perf_counter()
-        if self._mux:
-            return self._round_trip_mux(parts, array_source, t0)
-        try:
-            sock = self._borrow()
-        except (OSError, WireError) as exc:
-            raise _map_wire_error(exc, self.server_id) from exc
-        try:
-            sent = send_frame_iov(sock, parts)
-            reply = recv_frame(sock)
-        except (OSError, WireError) as exc:
-            self._discard(sock, reuse=False)
-            raise _map_wire_error(exc, self.server_id) from exc
-        try:
-            msg = decode_message(
-                reply, array_source=array_source, copy_arrays=False
-            )
-        except WireError as exc:
-            self._discard(sock, reuse=False)
-            raise _map_wire_error(exc, self.server_id) from exc
-        self._give_back(sock)
-        _REQUESTS.inc()
-        _BYTES_SENT.inc(sent + 4)
-        _BYTES_RECEIVED.inc(len(reply) + 4)
-        _REQ_SECONDS.record(perf_counter() - t0)
-        return msg
-
-    def _round_trip_mux(self, parts: list, array_source, t0: float) -> tuple:
-        """The multiplexed round trip: v2 frame, per-request future.
-
-        The reply payload is decoded *here*, on the caller's thread — never
-        in the reader — because decoding may resolve SegRefs through a
-        per-request ``array_source``. A timeout keeps the connection (only
-        this request is abandoned; its late reply is dropped by id); every
-        other wire failure retires the shared connection.
-        """
-        from time import time as _now
-
         deadline = current_deadline()
         timeout = REQUEST_TIMEOUT
         if deadline:
-            timeout = max(0.05, min(timeout, deadline - _now()))
+            timeout = max(0.05, min(timeout, deadline - time()))
         conn = None
         sent = sum(len(p) for p in parts)
         try:
-            conn = self._mux_conn()
+            conn = self._connection()
             reply = conn.call(parts, deadline=deadline, timeout=timeout)
         except (OSError, WireError) as exc:
             if conn is not None and not isinstance(exc, (socket.timeout, TimeoutError)):
-                self._retire_mux_conn(conn)
+                self._retire(conn)
             raise _map_wire_error(exc, self.server_id) from exc
         try:
             msg = decode_message(reply, array_source=array_source, copy_arrays=False)
         except WireError as exc:
-            self._retire_mux_conn(conn)
+            self._retire(conn)
             raise _map_wire_error(exc, self.server_id) from exc
         _REQUESTS.inc()
         _BYTES_SENT.inc(sent + 20)
@@ -382,26 +276,20 @@ class _Endpoint:
             if self._closed:
                 return
             self._closed = True
-            idle, self._idle = self._idle, []
-            mux_conns, self._mux_conns = self._mux_conns, []
-        _POOL_IDLE.add(-len(idle))
+            conn, self._conn = self._conn, None
         if shutdown_op:
             try:
-                sock = idle.pop() if idle else self._dial()
-                sock.settimeout(1.0)
-                send_frame(sock, encode_request("admin:shutdown", ()))
-                recv_frame(sock)
-                sock.close()
+                if conn is None or conn.dead:
+                    conn = self._dial()
+                conn.call(encode_request_iov("admin:shutdown", ()), timeout=1.0)
             except (OSError, WireError):
                 pass
         # The server drains admitted requests before exiting; wait for their
         # replies to land so concurrent callers finish cleanly instead of
         # seeing the socket die under them.
-        for conn in mux_conns:
+        if conn is not None:
             conn.drain(timeout=5.0)
             conn.close()
-        for sock in idle:
-            sock.close()
         proc = self.process
         if proc is not None:
             proc.join(timeout=2.0)
@@ -411,45 +299,36 @@ class _Endpoint:
             self.process = None
 
 
-class _RemoteStore:
-    """Control-plane facade over the server process's ObjectStore.
+class _RemoteView:
+    """Read facade over one attribute (``store`` / ``index``) of the server
+    process's *unwrapped* server, matching ``FaultyServer``'s control-plane
+    passthrough.
 
-    Mirrors the store attributes tests and the checkpointer read on local
-    servers (``object_count``, ``fragments``, ``clear``, ...); all calls
-    dispatch against the *unwrapped* server, matching ``FaultyServer``'s
-    control-plane passthrough.
+    Mirrors what tests and the checkpointer read on local servers
+    (``store.object_count``, ``index.versions(name)``, ``len(index)``, ...)
+    through the single ``admin:inspect`` op; the server process checks every
+    name against :data:`~repro.net.tcpserver.INSPECTABLE`. ``local_type`` is
+    the attribute's class, consulted only for *shape*: a property is read at
+    attribute access, a method is called when the caller calls it.
     """
 
-    def __init__(self, endpoint: _Endpoint) -> None:
+    def __init__(self, endpoint: _Endpoint, owner: str, local_type: type) -> None:
         self._endpoint = endpoint
+        self._owner = owner
+        self._local_type = local_type
 
-    @property
-    def object_count(self) -> int:
-        return self._endpoint.request("admin:store", ("object_count", ()))
+    def _inspect(self, name: str, *args):
+        return self._endpoint.request("admin:inspect", (self._owner, name, args))
 
-    @property
-    def nbytes(self) -> int:
-        return self._endpoint.request("admin:store", ("nbytes", ()))
+    def __getattr__(self, name: str):
+        if name not in INSPECTABLE[self._owner]:
+            raise AttributeError(f"{self._owner}.{name} is not exposed over the wire")
+        if isinstance(getattr(self._local_type, name), property):
+            return self._inspect(name)
+        return partial(self._inspect, name)
 
-    def fragments(self, name: str, version: int):
-        return self._endpoint.request("admin:store", ("fragments", (name, version)))
-
-    def fragment_count(self, name: str, version: int) -> int:
-        return self._endpoint.request(
-            "admin:store", ("fragment_count", (name, version))
-        )
-
-    def versions(self, name: str):
-        return self._endpoint.request("admin:store", ("versions", (name,)))
-
-    def keys(self):
-        return self._endpoint.request("admin:store", ("keys", ()))
-
-    def latest_version(self, name: str):
-        return self._endpoint.request("admin:store", ("latest_version", (name,)))
-
-    def clear(self) -> None:
-        return self._endpoint.request("admin:store", ("clear", ()))
+    def __len__(self) -> int:
+        return self._inspect("__len__")
 
 
 class RemoteServer:
@@ -457,7 +336,7 @@ class RemoteServer:
 
     Drop-in for :class:`~repro.staging.server.StagingServer` inside
     ``StagingGroup.servers``: the full method surface plus the control-plane
-    attributes the runtime and tests touch (``store`` facade, ``inner``
+    attributes the runtime and tests touch (``store`` / ``index`` facades, ``inner``
     — itself, faults live server-side — and ``heal``).
     """
 
@@ -465,7 +344,8 @@ class RemoteServer:
         self._endpoint = endpoint
         self.server_id = endpoint.server_id
         self.lock = threading.RLock()  # parity with StagingServer.lock
-        self.store = _RemoteStore(endpoint)
+        self.store = _RemoteView(endpoint, "store", ObjectStore)
+        self.index = _RemoteView(endpoint, "index", SpatialIndex)
         # Set by the transport's fault hook (shared RemoteFaultHandle),
         # mirroring FaultyServer.injector.
         self.injector = None
@@ -564,12 +444,19 @@ class RemoteFaultHandle:
 
 
 class TcpTransport(Transport):
-    """One server process per staging server, reached over pooled TCP."""
+    """One server process per staging server, each reached over one
+    multiplexed TCP connection.
+
+    ``queue_depth`` is each server's admission-control depth (requests
+    admitted — queued plus executing — at once; beyond it the server sheds
+    with ``ServerBusy``) and ``workers`` its worker-thread count.
+    """
 
     name = "tcp"
     remote = True
 
-    def __init__(self) -> None:
+    def __init__(self, queue_depth: int = 64, workers: int = 8) -> None:
+        self._server_config = {"queue_depth": queue_depth, "workers": workers}
         self._endpoints: dict[int, _Endpoint] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -608,13 +495,9 @@ class TcpTransport(Transport):
         t0 = perf_counter()
         ctx = _context()
         port_rx, port_tx = ctx.Pipe(duplex=False)
-        # Event-loop sizing is resolved *here*, in the parent: forkserver
-        # children snapshot the forkserver's environment at its creation, so
-        # REPRO_SERVER_QUEUE set after import would never reach the child as
-        # an env var. Shipping it as an argument always works.
         proc = ctx.Process(
             target=run_server,
-            args=(server_id, port_tx, server_config()),
+            args=(server_id, port_tx, self._server_config),
             daemon=True,
             name=f"staging-server-{server_id}",
         )
@@ -631,7 +514,7 @@ class TcpTransport(Transport):
         return self._make_endpoint(server_id, proc, port)
 
     def _make_endpoint(self, server_id: int, process, port: int) -> _Endpoint:
-        """Endpoint factory — the shm transport swaps in its pooled variant."""
+        """Endpoint factory — the shm transport swaps in its segment-pool variant."""
         return _Endpoint(server_id, process, port)
 
     # ------------------------------------------------------------- Transport

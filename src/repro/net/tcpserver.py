@@ -23,21 +23,20 @@ connection count; here a multiplexed client interleaves hundreds of
 requests over one socket and a stalled (``slow``-faulted) request occupies
 one worker, not the whole connection.
 
-Admission control: the loop admits at most ``queue_depth`` requests
-(``REPRO_SERVER_QUEUE``, read by the *parent* at spawn time — forkserver
-children snapshot the forkserver's environment, not the parent's — and
-passed through ``run_server``'s ``config``). Beyond that it sheds with a
-typed, retryable :class:`~repro.errors.ServerBusy` instead of queueing
-without bound; expired deadlines stamped in v2 headers are dropped with
+Admission control: the loop admits at most ``queue_depth`` requests (a
+``TcpTransport`` constructor argument, passed through ``run_server``'s
+``config``). Beyond that it sheds with a typed, retryable
+:class:`~repro.errors.ServerBusy` instead of queueing without bound;
+expired deadlines stamped in frame headers are dropped with
 :class:`~repro.errors.DeadlineExceeded` both at admission and again when a
 worker picks the request up. ``admin:*`` control ops are recognised by a
 byte-level peek (:func:`~repro.net.protocol.peek_request_kind`) and run
 inline on the loop thread, bypassing admission — a saturated data plane
 must never lock out ``admin:shutdown`` or fault installation.
 
-v1 compatibility: v1 frames (no request id) are served on the same loop;
-their replies are sequenced per connection in arrival order, since a v1
-client attributes replies by position, not id.
+A connection whose stream does not open a frame with the v2 sentinel (a
+foreign client, the retired length-prefixed layout) is closed on the spot;
+other connections are unaffected.
 
 Shutdown drains: ``admin:shutdown`` closes the listener immediately, lets
 admitted requests finish, flushes every queued reply, and only then closes
@@ -54,7 +53,6 @@ from __future__ import annotations
 import os
 import selectors
 import socket
-import struct
 import threading
 import time
 from collections import deque
@@ -69,6 +67,7 @@ from repro.net.frames import (
     MuxFrameDecoder,
     WireError,
     frame_header_v2,
+    send_vectors,
 )
 from repro.net.protocol import (
     batch_item_result,
@@ -80,31 +79,12 @@ from repro.net.protocol import (
 from repro.obs import registry as _obs
 from repro.staging.server import StagingServer
 
-__all__ = [
-    "SERVER_OPS",
-    "SERVER_QUEUE_ENV",
-    "SERVER_WORKERS_ENV",
-    "Dispatcher",
-    "server_config",
-    "run_server",
-]
-
-#: Admission-control depth: max requests admitted (queued + executing) at
-#: once; beyond it the server sheds with ServerBusy. Read in the *parent*
-#: and shipped via run_server(config=...) — see module docstring.
-SERVER_QUEUE_ENV = "REPRO_SERVER_QUEUE"
-#: Worker threads executing admitted requests.
-SERVER_WORKERS_ENV = "REPRO_SERVER_WORKERS"
-
-_DEFAULT_QUEUE_DEPTH = 64
-_DEFAULT_WORKERS = 8
+__all__ = ["SERVER_OPS", "INSPECTABLE", "Dispatcher", "run_server"]
 
 #: How long shutdown waits for admitted requests + queued replies.
 _DRAIN_TIMEOUT = 10.0
 
 _RECV_CHUNK = 1 << 20
-_SENDMSG_MAX_VECS = 512
-_V1_HEAD = struct.Struct("!I")
 
 _SHED = _obs.counter("net.mux.shed")
 _DEADLINE_DROPS = _obs.counter("net.mux.deadline_drops")
@@ -141,22 +121,23 @@ SERVER_OPS = frozenset(
 # Read-only properties served as zero-arg ops.
 SERVER_PROPS = frozenset({"nbytes", "protection_nbytes"})
 
-# Store-facade attributes the control plane may read (RemoteServer.store).
-_STORE_METHODS = frozenset(
-    {"fragments", "clear", "versions", "keys", "latest_version", "fragment_count"}
-)
-_STORE_PROPS = frozenset({"object_count", "nbytes"})
-
-
-def server_config(env=None) -> dict:
-    """Event-loop sizing from the environment (call in the parent!)."""
-    env = os.environ if env is None else env
-    raw_q = str(env.get(SERVER_QUEUE_ENV, "") or "").strip()
-    raw_w = str(env.get(SERVER_WORKERS_ENV, "") or "").strip()
-    return {
-        "queue_depth": max(1, int(raw_q)) if raw_q else _DEFAULT_QUEUE_DEPTH,
-        "workers": max(1, int(raw_w)) if raw_w else _DEFAULT_WORKERS,
-    }
+# What the control plane may touch on the unwrapped server through
+# ``admin:inspect`` (RemoteServer.store / .index): attribute → allowed names.
+INSPECTABLE = {
+    "store": frozenset(
+        {
+            "object_count",
+            "nbytes",
+            "fragments",
+            "fragment_count",
+            "versions",
+            "keys",
+            "latest_version",
+            "clear",
+        }
+    ),
+    "index": frozenset({"names", "versions", "nbytes", "__len__"}),
+}
 
 
 class Dispatcher:
@@ -242,14 +223,12 @@ class Dispatcher:
             with self._swap_lock:
                 self.server = StagingServer(self.server_id)
             return None
-        if op == "store":
-            (attr, sub_args) = args
-            store = self._inner.store
-            if attr in _STORE_PROPS:
-                return getattr(store, attr)
-            if attr in _STORE_METHODS:
-                return getattr(store, attr)(*sub_args)
-            raise ValueError(f"store attribute {attr!r} not exposed over the wire")
+        if op == "inspect":
+            (owner, name, sub_args) = args
+            if name not in INSPECTABLE.get(owner, ()):
+                raise ValueError(f"{owner}.{name} is not exposed over the wire")
+            value = getattr(getattr(self._inner, owner), name)
+            return value(*sub_args) if callable(value) else value
         raise ValueError(f"unknown admin op {op!r}")
 
     # ------------------------------------------------------------- dispatch
@@ -335,7 +314,7 @@ class Dispatcher:
             # of a torn connection.
             return [encode_error(_as_staging_error(exc), self.server_id)]
         tag = msg[0]
-        if tag == "batch" or tag == "sbatch":
+        if tag == "batch":
             results = []
             for item in msg[1]:
                 req = decode_message_item(item)
@@ -353,7 +332,7 @@ class Dispatcher:
                     results.append(batch_item_result(value))
             return encode_iov(("batch_ok", results))
         sink = None
-        if tag == "sreq" and msg[3] is not None:
+        if tag == "sreq":
             sink = self._shm_segments().response_sink(msg[3])
         try:
             value = self._execute_granted(msg[1], msg[2], sink)
@@ -384,21 +363,9 @@ def _as_staging_error(exc: Exception):
 
 
 class _Conn:
-    """Per-connection loop state: decoder, write queue, v1 reply sequencing."""
+    """Per-connection loop state: decoder and write queue."""
 
-    __slots__ = (
-        "sock",
-        "fd",
-        "decoder",
-        "out",
-        "events",
-        "inflight",
-        "eof",
-        "closed",
-        "v1_reads",
-        "v1_next_send",
-        "v1_parked",
-    )
+    __slots__ = ("sock", "fd", "decoder", "out", "events", "inflight", "eof", "closed")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
@@ -409,10 +376,6 @@ class _Conn:
         self.inflight = 0  # requests admitted from this conn, not yet replied
         self.eof = False
         self.closed = False
-        # v1 frames carry no id; replies must leave in arrival order.
-        self.v1_reads = 0
-        self.v1_next_send = 0
-        self.v1_parked: dict[int, list] = {}
 
 
 class EventLoopServer:
@@ -433,7 +396,7 @@ class EventLoopServer:
         self.inflight = 0  # admitted, not yet completed (loop thread only)
         self.draining = False
         self._drain_deadline = 0.0
-        # Worker → loop completion channel: (conn, frame, v1_seq, parts).
+        # Worker → loop completion channel: (conn, frame, parts).
         self._done: deque = deque()
         self._done_lock = threading.Lock()
         self._wake_r, self._wake_w = os.pipe()
@@ -547,16 +510,12 @@ class EventLoopServer:
     # ------------------------------------------------------------ admission
 
     def _handle_frame(self, conn: _Conn, frame: Frame) -> None:
-        v1_seq = None
-        if frame.request_id is None:
-            v1_seq = conn.v1_reads
-            conn.v1_reads += 1
         tag, op = peek_request_kind(frame.payload)
         if op is not None and op.startswith("admin:"):
             # Control plane: inline on the loop thread, no admission check,
             # no deadline drop — shutdown/heal must work under overload.
             parts = self.dispatcher.handle_frame(frame.payload)
-            self._complete(conn, frame, v1_seq, parts)
+            self._complete(conn, frame, parts)
             if self.dispatcher.stop.is_set() and not self.draining:
                 self._begin_drain()
             return
@@ -564,20 +523,20 @@ class EventLoopServer:
         if frame.deadline and time.time() > frame.deadline:
             _DEADLINE_DROPS.inc()
             err = [encode_error(DeadlineExceeded(server_id), server_id)]
-            self._complete(conn, frame, v1_seq, err)
+            self._complete(conn, frame, err)
             return
         if self.inflight >= self.queue_depth or self.draining:
             _SHED.inc()
             err = [encode_error(ServerBusy(server_id), server_id)]
-            self._complete(conn, frame, v1_seq, err)
+            self._complete(conn, frame, err)
             return
         _ADMITTED.inc()
         self.inflight += 1
         conn.inflight += 1
         _SERVER_INFLIGHT.set(self.inflight)
-        self.pool.submit(self._work, conn, frame, v1_seq)
+        self.pool.submit(self._work, conn, frame)
 
-    def _work(self, conn: _Conn, frame: Frame, v1_seq) -> None:
+    def _work(self, conn: _Conn, frame: Frame) -> None:
         """Worker-thread body: execute and hand the reply back to the loop."""
         try:
             parts = self.dispatcher.handle_frame(frame.payload, deadline=frame.deadline)
@@ -586,7 +545,7 @@ class EventLoopServer:
                 encode_error(_as_staging_error(exc), self.dispatcher.server_id)
             ]
         with self._done_lock:
-            self._done.append((conn, frame, v1_seq, parts))
+            self._done.append((conn, frame, parts))
         self._wake()
 
     def _reap_completions(self) -> None:
@@ -594,60 +553,33 @@ class EventLoopServer:
             with self._done_lock:
                 if not self._done:
                     return
-                conn, frame, v1_seq, parts = self._done.popleft()
+                conn, frame, parts = self._done.popleft()
             self.inflight -= 1
             conn.inflight -= 1
             _SERVER_INFLIGHT.set(self.inflight)
-            self._complete(conn, frame, v1_seq, parts)
+            self._complete(conn, frame, parts)
 
     # ---------------------------------------------------------------- write
 
-    def _complete(self, conn: _Conn, frame: Frame, v1_seq, parts: list) -> None:
+    def _complete(self, conn: _Conn, frame: Frame, parts: list) -> None:
         if conn.closed:
             return  # client went away; drop the reply
-        if frame.request_id is not None:
-            self._enqueue_reply(conn, frame_header_v2(_total(parts), frame.request_id), parts)
-        else:
-            # v1: replies leave in arrival order; park out-of-order ones.
-            conn.v1_parked[v1_seq] = parts
-            while conn.v1_next_send in conn.v1_parked:
-                ready = conn.v1_parked.pop(conn.v1_next_send)
-                conn.v1_next_send += 1
-                self._enqueue_reply(conn, _V1_HEAD.pack(_total(ready)), ready)
-        self._flush(conn)
-        self._maybe_retire(conn)
-
-    def _enqueue_reply(self, conn: _Conn, head: bytes, parts: list) -> None:
+        head = frame_header_v2(sum(len(p) for p in parts), frame.request_id)
         conn.out.append(memoryview(head))
         for part in parts:
             if len(part):
                 conn.out.append(memoryview(part).cast("B"))
+        self._flush(conn)
+        self._maybe_retire(conn)
 
     def _flush(self, conn: _Conn) -> None:
         if conn.closed:
             return
-        q = conn.out
-        while q:
-            vecs = []
-            for mv in q:
-                vecs.append(mv)
-                if len(vecs) >= _SENDMSG_MAX_VECS:
-                    break
-            try:
-                sent = conn.sock.sendmsg(vecs)
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError:
-                self._close_conn(conn)
-                return
-            while sent:
-                head = q[0]
-                if sent >= len(head):
-                    sent -= len(head)
-                    q.popleft()
-                else:
-                    q[0] = head[sent:]
-                    sent = 0
+        try:
+            send_vectors(conn.sock, conn.out)
+        except OSError:
+            self._close_conn(conn)
+            return
         self._update_events(conn)
 
     def _update_events(self, conn: _Conn) -> None:
@@ -707,19 +639,14 @@ class EventLoopServer:
             pass
 
 
-def run_server(server_id: int, port_conn, config: dict | None = None) -> None:
+def run_server(server_id: int, port_conn, config: dict) -> None:
     """Child-process entry: bind, report the port, serve until shutdown.
 
     ``port_conn`` is the parent's end of a ``multiprocessing.Pipe``; the
     bound port is the only thing ever written to it. ``config`` carries the
-    event-loop sizing the parent resolved from its own environment
-    (:func:`server_config`); falling back to reading it here only works for
-    direct callers, not forkserver children (whose environ is the
-    forkserver's snapshot).
+    event-loop sizing (``queue_depth``, ``workers``) from the parent's
+    ``TcpTransport``.
     """
-    cfg = dict(server_config())
-    if config:
-        cfg.update(config)
     dispatcher = Dispatcher(server_id)
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -727,8 +654,4 @@ def run_server(server_id: int, port_conn, config: dict | None = None) -> None:
     listener.listen(128)
     port_conn.send(listener.getsockname()[1])
     port_conn.close()
-    EventLoopServer(dispatcher, listener, cfg).run()
-
-
-def _total(parts: list) -> int:
-    return sum(len(p) for p in parts)
+    EventLoopServer(dispatcher, listener, config).run()

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import os
+import socket
+import struct
 import threading
 import time
 
@@ -25,13 +27,11 @@ from repro.descriptors import ObjectDescriptor
 from repro.errors import DeadlineExceeded, ServerBusy, TransientServerError
 from repro.faults import FaultPlan, inject_faults
 from repro.geometry import BBox, Domain
-from repro.net.frames import (
-    Frame,
-    MuxFrameDecoder,
-    frame_header_v2,
-    send_frame,
-)
+from repro.net.frames import Frame, MuxFrameDecoder, ProtocolError, frame_header_v2
 from repro.net.mux import current_deadline, deadline_scope
+from repro.net.protocol import encode_request_iov
+from repro.net.shm import ShmTransport
+from repro.net.tcp import TcpTransport
 from repro.staging import StagingClient, StagingGroup
 from repro.staging.resilience import RetryPolicy
 
@@ -48,15 +48,10 @@ WIRE = (
     else "tcp"
 )
 
+WireTransport = ShmTransport if WIRE == "shm" else TcpTransport
+
 DOMAIN = Domain((16, 16, 8))
 FULL = BBox((0, 0, 0), (16, 16, 8))
-
-
-def _counter_value(name: str) -> int:
-    from repro.obs import get_registry
-
-    counter = get_registry().get(name)
-    return 0 if counter is None else counter.value
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +68,8 @@ def _endpoint(group, sid=0):
 
 
 # ---------------------------------------------------------------------------
-# frame-level: the v2 decoder demuxes mixed v1/v2 streams at any split
+# frame-level: v2 frames demux at any split; a v1 frame anywhere in the mix
+# ends the stream with ProtocolError after everything before it was delivered
 
 
 @settings(max_examples=150, deadline=None)
@@ -95,20 +91,25 @@ def test_mux_decoder_any_split_any_version_mix(frames, chunk):
             stream += len(payload).to_bytes(4, "big") + payload
         else:
             stream += frame_header_v2(len(payload), rid, deadline) + payload
+    first_v1 = next((i for i, f in enumerate(frames) if f[1] is None), len(frames))
     dec = MuxFrameDecoder()
-    for i in range(0, len(stream), chunk):
-        dec.feed(stream[i : i + chunk])
-    got = dec.frames()
-    assert len(got) == len(frames)
+    got = []
+    try:
+        for i in range(0, len(stream), chunk):
+            dec.feed(stream[i : i + chunk])
+            got += dec.frames()
+    except ProtocolError:
+        assert first_v1 < len(frames), "a pure v2 stream was rejected"
+        got += dec.frames()
+    else:
+        assert first_v1 == len(frames), "a v1 frame was accepted"
+        dec.close()
+    assert len(got) == first_v1
     for out, (payload, rid, deadline) in zip(got, frames):
         assert isinstance(out, Frame)
         assert bytes(out.payload) == payload
         assert out.request_id == rid
-        if rid is not None:
-            assert out.deadline == pytest.approx(deadline)
-        else:
-            assert out.deadline == 0.0
-    dec.close()
+        assert out.deadline == pytest.approx(deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +131,8 @@ def test_concurrent_callers_get_byte_identical_replies(mux_group, seeds):
     exactly that thread's bytes. Payload sizes differ per thread so
     completions genuinely reorder on the shared connection."""
     n = len(seeds)
+    endpoint = _endpoint(mux_group)
+    shared = endpoint._connection()
     # Fresh names every example: the module-scoped group keeps state, and a
     # re-put of an old name with different geometry is a VersionConflict.
     run = next(_example_counter)
@@ -162,10 +165,8 @@ def test_concurrent_callers_get_byte_identical_replies(mux_group, seeds):
     for t in threads:
         t.join(timeout=60)
     assert not failures, failures
-    # All of that rode a couple of shared sockets, not a per-thread pool.
-    endpoint = _endpoint(mux_group)
-    assert endpoint._mux
-    assert len(endpoint._mux_conns) <= endpoint._mux_target
+    # All of that rode the endpoint's one shared socket.
+    assert endpoint._conn is shared and not shared.dead
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +257,10 @@ def test_live_deadline_requests_execute_normally():
 # admission control
 
 
-def test_queue_full_sheds_with_server_busy(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVER_QUEUE", "1")
-    monkeypatch.setenv("REPRO_SERVER_WORKERS", "1")
-    group = StagingGroup.create(DOMAIN, num_servers=1, transport=WIRE)
+def test_queue_full_sheds_with_server_busy():
+    group = StagingGroup.create(
+        DOMAIN, num_servers=1, transport=WireTransport(queue_depth=1, workers=1)
+    )
     try:
         client = StagingClient(group, client_id="w")
         desc = ObjectDescriptor("q", 1, DOMAIN.bbox)
@@ -283,14 +284,17 @@ def test_queue_full_sheds_with_server_busy(monkeypatch):
         group.close()
 
 
-def test_shed_requests_are_retried_transparently_by_client(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVER_QUEUE", "1")
-    monkeypatch.setenv("REPRO_SERVER_WORKERS", "1")
+def test_shed_requests_are_retried_transparently_by_client():
     # Enough retry budget to outlast the 0.4 s busy window (the default
     # policy's total backoff is tens of milliseconds — tuned for transient
     # blips, not a saturated queue).
     retry = RetryPolicy(max_attempts=30, base_backoff=0.05, max_backoff=0.1)
-    group = StagingGroup.create(DOMAIN, num_servers=1, transport=WIRE, retry=retry)
+    group = StagingGroup.create(
+        DOMAIN,
+        num_servers=1,
+        transport=WireTransport(queue_depth=1, workers=1),
+        retry=retry,
+    )
     try:
         client = StagingClient(group, client_id="w")
         desc = ObjectDescriptor("r", 1, DOMAIN.bbox)
@@ -343,85 +347,67 @@ def test_shutdown_drains_inflight_requests():
 
 
 # ---------------------------------------------------------------------------
-# v1 fallback and pool cap
+# foreign streams: the server hangs up on them, and only on them
 
 
-def test_v1_pooled_fallback_and_idle_cap(monkeypatch):
-    monkeypatch.setenv("REPRO_MUX", "0")
-    group = StagingGroup.create(DOMAIN, num_servers=1, transport=WIRE)
-    try:
-        endpoint = _endpoint(group)
-        assert not endpoint._mux
-        desc = ObjectDescriptor("v1", 1, DOMAIN.bbox)
-        payload = make_payload(desc)
-        client = StagingClient(group, client_id="w")
-        client.put(desc, payload)
-        np.testing.assert_array_equal(client.get(desc), payload)
-
-        from repro.net.tcp import POOL_MAX_IDLE
-
-        # Return far more sockets than the cap retains.
-        borrowed = [endpoint._borrow() for _ in range(POOL_MAX_IDLE + 4)]
-        for sock in borrowed:
-            endpoint._give_back(sock)
-        assert len(endpoint._idle) == POOL_MAX_IDLE
-    finally:
-        group.close()
-
-
-def test_v1_pool_cap_serializes_on_one_socket(monkeypatch):
-    """REPRO_TCP_POOL_CAP=1 bounds the lockstep path to one data socket:
-    concurrent callers serialize on it and still all succeed."""
-    monkeypatch.setenv("REPRO_MUX", "0")
-    monkeypatch.setenv("REPRO_TCP_POOL_CAP", "1")
-    group = StagingGroup.create(DOMAIN, num_servers=1, transport=WIRE)
-    try:
-        desc = ObjectDescriptor("capped", 1, DOMAIN.bbox)
-        payload = make_payload(desc)
-        StagingClient(group, client_id="seed").put(desc, payload)
-        before = _counter_value("net.tcp.connects")
-
-        errors: list = []
-
-        def worker(idx: int) -> None:
-            try:
-                client = StagingClient(group, client_id=f"cap-{idx}")
-                for _ in range(5):
-                    np.testing.assert_array_equal(client.get(desc), payload)
-            except Exception as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        # The seed put already dialed the one allowed socket; the four
-        # concurrent workers reuse it rather than dialing their own.
-        assert _counter_value("net.tcp.connects") - before == 0
-    finally:
-        group.close()
-
-
-def test_v1_client_against_v2_server_lockstep(monkeypatch):
-    """A pure-v1 client (no mux, no ids) still round-trips against the
-    event-loop server — replies come back in arrival order."""
-    monkeypatch.setenv("REPRO_MUX", "0")
-    group = StagingGroup.create(DOMAIN, num_servers=1, transport=WIRE)
-    try:
-        endpoint = _endpoint(group)
-        sock = endpoint._borrow()
+def _read_until_eof(sock: socket.socket) -> bytes:
+    """Everything the server sends before it closes the connection."""
+    sock.settimeout(10)
+    received = b""
+    while True:
         try:
-            from repro.net.frames import recv_frame
-            from repro.net.protocol import decode_message, encode_request
+            data = sock.recv(4096)
+        except ConnectionResetError:
+            return received
+        if not data:
+            return received
+        received += data
 
-            for _ in range(3):
-                send_frame(sock, encode_request("admin:ping", ()))
-            for _ in range(3):
-                msg = decode_message(recv_frame(sock))
-                assert msg == ("ok", "pong")
+
+def test_non_v2_streams_are_disconnected_without_disturbing_mux_clients():
+    """A raw socket speaking the retired v1 layout (or opening with any
+    other word) is closed unanswered; a mux client on its own connection
+    keeps getting byte-identical replies throughout."""
+    group = StagingGroup.create(DOMAIN, num_servers=1, transport=WIRE)
+    try:
+        endpoint = _endpoint(group)
+        desc = ObjectDescriptor("steady", 1, DOMAIN.bbox)
+        payload = make_payload(desc)
+        client = StagingClient(group, client_id="steady")
+        client.put(desc, payload)
+        shared = endpoint._connection()
+
+        stop = threading.Event()
+        failures: list = []
+        rounds = [0]
+
+        def steady_reader():
+            try:
+                while not stop.is_set():
+                    np.testing.assert_array_equal(client.get(desc), payload)
+                    rounds[0] += 1
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                failures.append(exc)
+
+        t = threading.Thread(target=steady_reader)
+        t.start()
+        try:
+            ping = b"".join(bytes(p) for p in encode_request_iov("admin:ping", ()))
+            v1_frame = struct.pack("!I", len(ping)) + ping
+            for foreign in (v1_frame, struct.pack("!I", 0x12345678) + b"x" * 64):
+                before = rounds[0]
+                with socket.create_connection(("127.0.0.1", endpoint.port)) as raw:
+                    raw.sendall(foreign)
+                    assert _read_until_eof(raw) == b""  # no reply, just EOF
+                deadline = time.time() + 10
+                while rounds[0] < before + 3 and time.time() < deadline:
+                    time.sleep(0.01)
+                assert rounds[0] >= before + 3, "mux client stalled"
         finally:
-            sock.close()
+            stop.set()
+            t.join(timeout=30)
+        assert not failures, failures
+        assert endpoint._conn is shared and not shared.dead
+        assert group.servers[0].ping()
     finally:
         group.close()

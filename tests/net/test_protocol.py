@@ -18,25 +18,35 @@ from repro.errors import (
 from repro.net import (
     ProtocolError,
     decode_message,
-    encode_request,
-    encode_response,
     error_kind_for,
     raise_wire_error,
 )
-from repro.net.protocol import WIRE_ERRORS, batch_item_result, encode_batch, encode_error
+from repro.net.protocol import (
+    WIRE_ERRORS,
+    batch_item_result,
+    encode_batch_iov,
+    encode_error,
+    encode_request_iov,
+    encode_response_iov,
+)
+
+
+def joined(parts: list) -> bytes:
+    """An iovec as the receiver sees it: one contiguous frame payload."""
+    return b"".join(bytes(p) for p in parts)
 
 
 class TestEnvelopes:
     def test_request_roundtrip(self):
-        msg = decode_message(encode_request("get", (("x", 3),)))
+        msg = decode_message(joined(encode_request_iov("get", (("x", 3),))))
         assert msg == ("req", "get", (("x", 3),))
 
     def test_response_roundtrip(self):
-        assert decode_message(encode_response([1, 2])) == ("ok", [1, 2])
+        assert decode_message(joined(encode_response_iov([1, 2]))) == ("ok", [1, 2])
 
     def test_batch_roundtrip(self):
         reqs = [("req", "put", (1,)), ("req", "get", (2,))]
-        assert decode_message(encode_batch(reqs)) == ("batch", reqs)
+        assert decode_message(joined(encode_batch_iov(reqs))) == ("batch", reqs)
 
     @pytest.mark.parametrize(
         "raw",
@@ -121,4 +131,4 @@ class TestBatchItems:
     st.lists(st.integers(-100, 100), max_size=5).map(tuple),
 )
 def test_request_envelope_property(op, args):
-    assert decode_message(encode_request(op, (args,))) == ("req", op, (args,))
+    assert decode_message(joined(encode_request_iov(op, (args,)))) == ("req", op, (args,))

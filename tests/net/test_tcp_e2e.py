@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.descriptors import ObjectDescriptor
-from repro.errors import ObjectNotFound, ServerUnavailable
+from repro.errors import ObjectNotFound, ServerUnavailable, StagingError
 from repro.faults import FaultPlan, inject_faults
 from repro.geometry import BBox, Domain
 from repro.net.tcp import TcpTransport
@@ -191,6 +191,38 @@ class TestFaultInjection:
         np.testing.assert_array_equal(
             tcp_group.servers[sid].get(shard_desc), payload[region]
         )
+
+
+class TestInspection:
+    def test_store_and_index_views_read_what_local_servers_expose(self, tcp_group):
+        """``RemoteServer.store`` / ``.index`` answer like the local objects
+        — properties as values, methods as calls, ``len()`` — and nothing
+        outside the server's allow-list is reachable, by attribute or by a
+        hand-issued ``admin:inspect``."""
+        inproc = StagingGroup.create(DOMAIN, num_servers=2, transport="inproc")
+        for g in (tcp_group, inproc):
+            client = StagingClient(g, client_id="w")
+            for v in range(2):
+                client.put(desc("u", v), make_payload(desc("u", v)))
+        for remote, local in zip(tcp_group.servers, inproc.servers):
+            assert remote.store.object_count == local.store.object_count
+            assert remote.store.nbytes == local.store.nbytes
+            assert remote.store.keys() == local.store.keys()
+            assert remote.store.versions("u") == local.store.versions("u")
+            assert remote.index.names() == local.index.names()
+            assert remote.index.versions("u") == local.index.versions("u")
+            assert remote.index.nbytes() == local.index.nbytes()
+            assert len(remote.index) == len(local.index) > 0
+
+        server = tcp_group.servers[0]
+        with pytest.raises(AttributeError):
+            server.store.restore  # mutators are not part of the read facade
+        with pytest.raises(AttributeError):
+            server.index.insert
+        for owner, name in (("store", "restore"), ("index", "clear"), ("lock", "acquire")):
+            with pytest.raises(StagingError, match="not exposed"):
+                server._endpoint.request("admin:inspect", (owner, name, ()))
+        assert server.ping()  # a refused inspection costs nothing else
 
 
 class TestLifecycle:

@@ -4,6 +4,7 @@ fails silently on the forge, so parse it here where a human sees it."""
 from __future__ import annotations
 
 import pathlib
+import re
 
 import pytest
 
@@ -78,6 +79,8 @@ class TestWorkflowShape:
         assert "tests/faults" in runs
         # The shm leg must fail if any segment survives the suite.
         assert "/dev/shm/repro-shm-" in runs
+        # The tcp-only carry-over (RemoteServer.index) stays covered.
+        assert "tests/runtime/test_rollback_index.py" in runs
 
     def test_nightly_soak_is_schedule_gated_and_runs_both_transports(self, workflow):
         job = workflow["jobs"]["nightly-soak"]
@@ -126,3 +129,26 @@ class TestCheckScript:
         assert "dev = [" in text
         assert "ruff" in text
         assert "pytest-cov" in text
+
+
+class TestKnobCensus:
+    """Every ``REPRO_*`` variable is a configuration the matrix has to
+    cover; the set is pinned so a new one is a reviewed decision."""
+
+    KNOBS = {"REPRO_TRANSPORT", "REPRO_SHM_POOL_BYTES"}
+
+    def test_src_reads_exactly_the_two_deployment_settings(self):
+        found = set()
+        for path in (REPO_ROOT / "src").rglob("*.py"):
+            found |= set(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+        assert found == self.KNOBS
+
+    def test_readme_knob_table_lists_exactly_those(self):
+        readme = (REPO_ROOT / "README.md").read_text()
+        rows = re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", readme, flags=re.M)
+        assert sorted(rows) == sorted(self.KNOBS)
+        # ... and nothing the README mentions anywhere is a retired knob.
+        assert set(re.findall(r"REPRO_[A-Z_]+", readme)) == self.KNOBS
+
+    def test_ci_sets_no_retired_knob(self):
+        assert set(re.findall(r"REPRO_[A-Z_]+", CI_PATH.read_text())) <= self.KNOBS
