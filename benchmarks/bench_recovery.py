@@ -12,8 +12,8 @@ serial seed path (``parallel=False`` / per-codeword decode):
   solves amortised per batch) vs the serial record-at-a-time path.
 * **restore** — rolling a populated synchronized service back to an
   incremental CoW snapshot with the per-server fan-out vs serially.
-* **restart** — ``workflow_restart`` + full replay-script drain with
-  per-variable partitioned cursors vs the strict global-order script.
+* **restart** — ``workflow_restart`` + full drain of the replay script
+  (one cursor, recorded order).
 
 Results feed the ``recovery`` section of ``BENCH_micro.json`` (via
 ``bench_microbench.py``) and the advisory bench guard. Run directly::
@@ -31,7 +31,6 @@ import numpy as np
 from repro.core import WorkflowStaging
 from repro.corec.reedsolomon import RSCode
 from repro.descriptors import ObjectDescriptor
-from repro.errors import ReplayError
 from repro.geometry import Domain
 from repro.runtime.staging_service import SynchronizedStaging
 from repro.staging import (
@@ -238,37 +237,16 @@ def bench_restart() -> dict:
             desc = ObjectDescriptor(name, v, RESTORE_DOMAIN.bbox)
             svc.put("sim", desc, rng.standard_normal(RESTORE_DOMAIN.shape), step=v)
             svc.get_blocking("ana", desc, step=v)
-    descs = {n: ObjectDescriptor(n, 0, RESTORE_DOMAIN.bbox) for n in RESTART_NAMES}
 
-    def restart_and_drain(partitioned: bool) -> None:
-        svc.staging.replay_partitioned = partitioned
+    def restart_and_drain() -> None:
         script = svc.workflow_restart("ana", 0)
-        if not partitioned:
-            while not script.exhausted:
-                script.advance()
-            return
-        names = script.partition_names()
         while not script.exhausted:
-            for n in names:
-                try:
-                    script.consume(descs[n])
-                except ReplayError:
-                    continue
+            script.advance()
 
     events = len(svc.workflow_restart("ana", 0).events)
-    t_serial = _best_of(RESTART_REPS, restart_and_drain, False)
-    t_part = _best_of(RESTART_REPS, restart_and_drain, True)
-    svc.staging.replay_partitioned = False
+    t = _best_of(RESTART_REPS, restart_and_drain)
     svc.shutdown()
-    return {
-        "restart": {
-            "events": events,
-            "partitions": len(RESTART_NAMES),
-            "restarts_per_s": round(1.0 / t_part, 1),
-            "serial_restarts_per_s": round(1.0 / t_serial, 1),
-            "speedup": round(t_serial / t_part, 2),
-        }
-    }
+    return {"restart": {"events": events, "restarts_per_s": round(1.0 / t, 1)}}
 
 
 # ------------------------------------------------------------------------ main
@@ -306,11 +284,7 @@ def main() -> int:
         f"(serial {res['serial_restores_per_s']:.1f}, x{res['speedup']:.1f})"
     )
     rst = results["restart"]
-    print(
-        f"restart+drain {rst['events']} events, {rst['partitions']} partitions: "
-        f"{rst['restarts_per_s']:.1f}/s "
-        f"(serial {rst['serial_restarts_per_s']:.1f}, x{rst['speedup']:.1f})"
-    )
+    print(f"restart+drain {rst['events']} events: {rst['restarts_per_s']:.1f}/s")
     # Advisory targets (never a hard failure: the sustained checks live in
     # the bench guard, and wall-clock parallel speedups depend on cores).
     if dec["decode_vs_encode"] < 0.5:

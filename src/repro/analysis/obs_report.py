@@ -191,7 +191,7 @@ def recovery_report(snapshot: dict[str, dict] | None = None) -> str:
     served while servers were down, server rebuilds (count, bytes, latency,
     plus the batched-decode pipeline's batch/codeword counts and any
     records skipped or failing digest verification), parallel restore
-    fan-out, and workflow restarts (latency and replay-partition widths).
+    fan-out, and workflow restart latency.
     Returns an empty string when no recovery activity was recorded.
     """
     if snapshot is None:
@@ -256,14 +256,6 @@ def recovery_report(snapshot: dict[str, dict] | None = None) -> str:
                 "workflow restarts s (n / mean / max)",
                 f"n={restarts['count']} mean={_fmt(restarts['mean'])} "
                 f"max={_fmt(restarts['max'])}",
-            ]
-        )
-    partitions = snapshot.get("recovery.replay.partitions", {})
-    if partitions.get("count"):
-        rows.append(
-            [
-                "replay partitions (mean / max names)",
-                f"{_fmt(partitions['mean'])} / {_fmt(partitions['max'])}",
             ]
         )
     return "\n\n".join(

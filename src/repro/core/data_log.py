@@ -75,9 +75,7 @@ class DataLog:
     # ---- incremental indexes (maintained at record/evict time) ----
     # name -> sorted list of logged versions.
     _versions: dict[str, list[int]] = field(default_factory=dict, repr=False)
-    # name -> pinned bytes for that name.
-    _name_bytes: dict[str, int] = field(default_factory=dict, repr=False)
-    # Running total of pinned bytes (== sum of _name_bytes values).
+    # Running total of pinned bytes.
     _total_bytes: int = field(default=0, repr=False)
     # component -> names it consumes (reverse of ``consumers``); lets a
     # checkpoint advance turn into O(names-this-component-reads) candidates.
@@ -96,7 +94,6 @@ class DataLog:
         if self.records and not self._versions:
             for (name, version), rec in self.records.items():
                 insort(self._versions.setdefault(name, []), version)
-                self._name_bytes[name] = self._name_bytes.get(name, 0) + rec.nbytes
                 self._total_bytes += rec.nbytes
         for name, frontiers in self.consumers.items():
             for comp in frontiers:
@@ -144,7 +141,6 @@ class DataLog:
             else:
                 insort(versions, version)
         delta = nbytes - (prev.nbytes if prev is not None else 0)
-        self._name_bytes[name] = self._name_bytes.get(name, 0) + delta
         self._total_bytes += delta
         _PUTS.inc()
         listener = self._listener
@@ -189,11 +185,6 @@ class DataLog:
         """Newest pinned version of ``name`` (O(1))."""
         versions = self._versions.get(name)
         return versions[-1] if versions else None
-
-    def oldest_logged(self, name: str) -> int | None:
-        """Oldest pinned version of ``name`` (O(1))."""
-        versions = self._versions.get(name)
-        return versions[0] if versions else None
 
     def version_count(self, name: str) -> int:
         """Number of pinned versions of ``name`` (O(1))."""
@@ -251,9 +242,6 @@ class DataLog:
                 del versions[i]
             if not versions:
                 del self._versions[name]
-        self._name_bytes[name] = self._name_bytes.get(name, 0) - rec.nbytes
-        if self._name_bytes[name] <= 0:
-            del self._name_bytes[name]
         self._total_bytes -= rec.nbytes
         freed = 0
         for server in self.group.servers:
@@ -354,23 +342,11 @@ class DataLog:
                 self._pending_evictions.pop(sid, None)
         return drained, freed
 
-    def write_off_pending(self, server_id: int) -> int:
-        """Drop a server's pending queue (confirmed fail-stop / rebuild)."""
-        queue = self._pending_evictions.pop(server_id, None)
-        if not queue:
-            return 0
-        _PENDING_WRITTEN_OFF.inc(len(queue))
-        return len(queue)
-
     # -------------------------------------------------------------- metrics
 
     def logged_bytes(self) -> int:
         """Bytes retained by the log (running total; O(1))."""
         return self._total_bytes
-
-    def name_bytes(self, name: str) -> int:
-        """Bytes retained for one variable (running total; O(1))."""
-        return self._name_bytes.get(name, 0)
 
     def baseline_bytes(self) -> int:
         """Bytes the *original* staging would retain: latest version only."""

@@ -4,9 +4,10 @@ The staging area keeps one :class:`EventQueue` per application component and
 pushes every data-communication and fault-tolerance event related to that
 component onto it. On failure, the queue yields the *replay script*: the
 logged data events recorded after the component's last checkpoint. While the
-component re-executes, staging walks the script, re-serving each logged get
-and suppressing each redundant put, until the component catches up with its
-pre-failure frontier and returns to live execution.
+component re-executes, staging walks the script in recorded order with one
+cursor, re-serving each logged get and suppressing each redundant put, until
+the component catches up with its pre-failure frontier and returns to live
+execution.
 """
 
 from __future__ import annotations
@@ -30,65 +31,28 @@ _APPENDS = _obs.counter("eventq.events_appended")
 _TRIMMED = _obs.counter("eventq.events_trimmed")
 _SCRIPTS_BUILT = _obs.counter("eventq.replay_scripts_built")
 _SCRIPT_EVENTS = _obs.histogram("eventq.replay_script.events")
-_SCRIPT_PARTITIONS = _obs.histogram("recovery.replay.partitions")
 
 
 @dataclass
 class ReplayScript:
     """The ordered data events a recovering component must re-observe.
 
-    Two consumption modes. The default (serial) mode replays the log in
-    exact global order through :meth:`peek`/:meth:`advance` — the seed
-    semantics. Partitioned mode (:meth:`enable_partitioning`) splits the
-    script by variable name and tracks one cursor per partition: replayed
-    requests must still arrive in order *within* each name (the data
-    dependency the consistency argument needs — version v of a variable is
-    re-observed before version v+1), but requests for different names may
-    interleave freely, so independent partitions can replay concurrently.
-    :meth:`expected_event`/:meth:`consume` serve both modes and degrade to
-    exact ``peek``/``advance`` behaviour when partitioning is off.
+    One cursor walks the log in the exact order it was recorded
+    (:meth:`peek` / :meth:`advance`): a recovering component re-issues its
+    requests in program order, so any request that is not the next recorded
+    event — including a swap between two different variables — is a
+    divergence from the initial execution and must surface as one.
     """
 
     component: str
     restored_chk: WChkId | None
     events: list[DataEvent]
     _cursor: int = 0
-    partitioned: bool = False
-    _partitions: dict = field(default_factory=dict, repr=False, compare=False)
-    _part_cursor: dict = field(default_factory=dict, repr=False, compare=False)
-    _consumed: int = 0
-
-    @staticmethod
-    def _key(desc) -> str:
-        return desc.name if desc is not None else ""
-
-    def enable_partitioning(self) -> None:
-        """Switch to per-name cursors (idempotent; must precede any replay)."""
-        if self.partitioned:
-            return
-        if self._cursor:
-            raise ReplayError(
-                f"replay script for {self.component!r} already partially "
-                f"consumed; cannot partition"
-            )
-        self.partitioned = True
-        self._partitions = {}
-        for idx, ev in enumerate(self.events):
-            self._partitions.setdefault(self._key(ev.desc), []).append(idx)
-        self._part_cursor = {k: 0 for k in self._partitions}
-        _SCRIPT_PARTITIONS.record(len(self._partitions))
-
-    def partition_names(self) -> list[str]:
-        """The independent partitions (variable names) of this script."""
-        if not self.partitioned:
-            return sorted({self._key(ev.desc) for ev in self.events})
-        return list(self._partitions)
 
     @property
     def remaining(self) -> int:
         """Events not yet replayed."""
-        consumed = self._consumed if self.partitioned else self._cursor
-        return len(self.events) - consumed
+        return len(self.events) - self._cursor
 
     @property
     def exhausted(self) -> bool:
@@ -96,43 +60,15 @@ class ReplayScript:
         return self.remaining <= 0
 
     def peek(self) -> DataEvent:
-        """The next expected event in global order (raises when exhausted)."""
+        """The next expected event (raises when exhausted)."""
         if self.exhausted:
             raise ReplayError(f"replay script for {self.component!r} exhausted")
         return self.events[self._cursor]
 
     def advance(self) -> DataEvent:
-        """Consume and return the next expected event (global order)."""
+        """Consume and return the next expected event."""
         ev = self.peek()
         self._cursor += 1
-        return ev
-
-    def expected_event(self, desc) -> DataEvent:
-        """The event a request for ``desc`` must match.
-
-        Serial mode: the global head (exactly :meth:`peek`). Partitioned
-        mode: the head of ``desc``'s name partition.
-        """
-        if not self.partitioned:
-            return self.peek()
-        key = self._key(desc)
-        idxs = self._partitions.get(key, ())
-        cur = self._part_cursor.get(key, 0)
-        if cur >= len(idxs):
-            raise ReplayError(
-                f"replay script for {self.component!r} has no pending "
-                f"events for variable {key!r}"
-            )
-        return self.events[idxs[cur]]
-
-    def consume(self, desc) -> DataEvent:
-        """Consume the event a request for ``desc`` matched."""
-        ev = self.expected_event(desc)
-        if self.partitioned:
-            self._part_cursor[self._key(desc)] += 1
-            self._consumed += 1
-        else:
-            self._cursor += 1
         return ev
 
 
@@ -263,18 +199,13 @@ class EventQueue:
 
     # ---------------------------------------------------------------- replay
 
-    def build_replay_script(
-        self, durable_only: bool = False, partitioned: bool = False
-    ) -> ReplayScript:
+    def build_replay_script(self, durable_only: bool = False) -> ReplayScript:
         """Replay script from the latest restorable checkpoint (paper Fig. 5).
 
         A component that has never checkpointed restarts from the beginning,
         so its script covers the whole queue. ``durable_only=True`` replays
         from the last *durable* checkpoint — the multi-level case where a
         node failure destroyed the newer node-local checkpoints.
-        ``partitioned=True`` builds the script with per-variable cursors so
-        independent partitions can replay in parallel (per-name order still
-        enforced); the default is the seed's strict global order.
         """
         chk = self.latest_checkpoint(durable_only=durable_only)
         script = ReplayScript(
@@ -282,8 +213,6 @@ class EventQueue:
             restored_chk=chk.chk_id if chk else None,
             events=self.events_after(chk),
         )
-        if partitioned:
-            script.enable_partitioning()
         _SCRIPTS_BUILT.inc()
         _SCRIPT_EVENTS.record(len(script.events))
         return script

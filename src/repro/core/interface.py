@@ -41,7 +41,7 @@ from repro.errors import (
 from repro.obs import registry as _obs
 from repro.obs import trace as _trace
 from repro.staging.client import StagingClient, StagingGroup
-from repro.staging.cow import StagingCheckpointer, compose_chain, is_cow_snapshot
+from repro.staging.cow import StagingCheckpointer
 
 __all__ = ["WorkflowStaging", "WorkflowClient", "PutResult", "GetResult", "GetPlan"]
 
@@ -128,11 +128,6 @@ class WorkflowStaging:
             log=self.log, queues=self.queues, queue_provider=self.queues.get
         )
         self._replay: dict[str, ReplayScript] = {}
-        # Replay scripts built with per-variable cursors (independent
-        # partitions may replay concurrently; per-name order is still
-        # enforced). Off by default = the seed's strict global order; the
-        # synchronized service enables it alongside its parallel data path.
-        self.replay_partitioned = False
         self.gc_reports: list[GCReport] = []
         # Incremental copy-on-write checkpointing of the staging group
         # (journals + base/delta chain). Idle until the first incremental
@@ -209,7 +204,7 @@ class WorkflowStaging:
         """
         if not (self.enable_logging and self.in_replay(component)):
             return None
-        expected = self._replay[component].expected_event(desc)
+        expected = self._replay[component].peek()
         if not expected.matches_request(EventKind.PUT, desc):
             raise ReplayError(
                 f"{component!r} replayed {EventKind.PUT.value} {desc}, "
@@ -220,7 +215,7 @@ class WorkflowStaging:
                 f"{component!r} re-executed {desc} with different bytes than "
                 f"its initial execution — non-deterministic replay"
             )
-        self._replay[component].consume(desc)
+        self._replay[component].advance()
         self._finish_replay_if_done(component)
         _SUPPRESSED_PUTS.inc()
         return PutResult(desc=desc, stored=False, suppressed=True, shards=0)
@@ -345,7 +340,7 @@ class WorkflowStaging:
 
     def _check_replay_get(self, component: str, desc: ObjectDescriptor) -> None:
         """Raise unless ``desc`` matches the next event in the replay script."""
-        expected = self._replay[component].expected_event(desc)
+        expected = self._replay[component].peek()
         if not expected.matches_request(EventKind.GET, desc):
             raise ReplayError(
                 f"{component!r} replayed {EventKind.GET.value} {desc}, "
@@ -382,13 +377,13 @@ class WorkflowStaging:
         self, component: str, desc: ObjectDescriptor, data: np.ndarray, digest: str
     ) -> GetResult:
         """Metadata-commit phase of a replayed get: verify and advance."""
-        expected = self._replay[component].expected_event(desc)
+        expected = self._replay[component].peek()
         if expected.digest != digest:
             raise ReplayError(
                 f"replay of {desc} for {component!r} served different bytes "
                 f"than the initial execution ({digest} != {expected.digest})"
             )
-        self._replay[component].consume(desc)
+        self._replay[component].advance()
         self._finish_replay_if_done(component)
         _REPLAYED_GETS.inc()
         return GetResult(
@@ -477,9 +472,7 @@ class WorkflowStaging:
                 del self._replay[component]
                 self.gc.unpin_replay(component)
             queue = self._queue(component)
-            script = queue.build_replay_script(
-                durable_only=durable_only, partitioned=self.replay_partitioned
-            )
+            script = queue.build_replay_script(durable_only=durable_only)
             queue.record_recovery(step, script.restored_chk)
             if script.events:
                 _REPLAYS_STARTED.inc()
@@ -516,13 +509,11 @@ class WorkflowStaging:
         """
         ckpt = self.checkpointer
         if full:
-            snap = ckpt.capture_full(
-                {}, start_chain=ckpt.journaling, parallel=False
-            )
+            snap = ckpt.capture_full({}, start_chain=ckpt.journaling)
             ckpt.release_discarded()
             return snap
         if ckpt.wants_full():
-            ckpt.capture_full({}, parallel=False)
+            ckpt.capture_full({})
             ckpt.release_discarded()
             return ckpt.chain_view()
         sealed = ckpt.seal()
@@ -531,19 +522,8 @@ class WorkflowStaging:
 
     def restore(self, snap: dict) -> None:
         """Roll the staging group back to ``snap`` (full or incremental)."""
-        cow = is_cow_snapshot(snap)
-        full = compose_chain(snap["chain"]) if cow else snap
-        for srv, server_snap in zip(self.group.servers, full["servers"]):
-            srv.restore(server_snap)
-        if "protection" in full:
-            self.group.records.restore(full["protection"])
-        if "health" in full:
-            self.group.health.restore(full["health"])
-        if cow:
-            self.checkpointer.rebase(snap)
-            self.checkpointer.release_discarded()
-        else:
-            self.checkpointer.mark_dirty()
+        self.checkpointer.restore(snap)
+        self.checkpointer.release_discarded()
 
     # -------------------------------------------------------------- metrics
 
@@ -554,27 +534,6 @@ class WorkflowStaging:
     def logging_overhead(self) -> float:
         """Memory overhead of logging vs latest-only retention."""
         return self.log.logging_overhead()
-
-    def run_gc(
-        self,
-        full: bool = True,
-        max_versions: int | None = None,
-        max_seconds: float | None = None,
-    ) -> GCReport:
-        """Force one garbage-collection pass.
-
-        ``full=True`` (default) runs the reference full sweep; otherwise a
-        bounded incremental pass drains queued candidates within the given
-        budgets and reports what it deferred.
-        """
-        if full:
-            report = self.gc.collect()
-        else:
-            report = self.gc.collect_incremental(
-                max_versions=max_versions, max_seconds=max_seconds
-            )
-        self.gc_reports.append(report)
-        return report
 
 
 class WorkflowClient:

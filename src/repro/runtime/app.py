@@ -225,17 +225,14 @@ class AppComponent:
         self.comm.fail(failed_rank)
         self.comm = self.comm.repair(self.spares)
 
-    def _apply_checkpoint(self, chk) -> int:
-        """Install a loaded checkpoint's state (or the initial state)."""
+    def _restore_state(self) -> int:
+        """Data recovery: reload the latest checkpoint (or initial state)."""
+        chk = self.chk_store.latest(self.name)
         if chk is None:
             self.state = self.initial_state()
             return 0
         self.state = chk.load_state()
         return self.state["step"]
-
-    def _restore_state(self) -> int:
-        """Data recovery: reload the latest checkpoint (or initial state)."""
-        return self._apply_checkpoint(self.chk_store.latest(self.name))
 
     def handle_local_failure(self, failure: ProcessFailure) -> None:
         """The paper's four recovery steps for uncoordinated/individual C/R.
@@ -243,36 +240,16 @@ class AppComponent:
         A *node* failure first destroys the node-local checkpoint tier, so
         data recovery falls back to the last durable (PFS) checkpoint and
         staging replays from that deeper point.
-
-        When the staging service exposes a recovery executor (its parallel
-        mode), component state restore overlaps the staging-side restart:
-        every save path records the completed step alongside the pickled
-        state (``Checkpoint.step``), so ``workflow_restart`` — which only
-        needs the restored step number — runs while the checkpoint payload
-        is still unpickling on the pool. Serial mode keeps the seed's
-        restore-then-restart sequence.
         """
         self.detector.report(self.name, failure.rank, failure.at_step)
         self._recover_processes(failure.rank)
         node_failure = failure.kind == "node"
         if node_failure:
             self.chk_store.drop_tier(self.name, CheckpointTier.NODE_LOCAL)
-        pool = getattr(self.staging, "recovery_executor", None)
-        if pool is None:
-            restored_step = self._restore_state()
-            self.staging.workflow_restart(
-                self.name, restored_step, durable_only=node_failure
-            )
-        else:
-            chk = self.chk_store.latest(self.name)
-            restored_step = chk.step + 1 if chk is not None else 0
-            restore = pool.submit(self._apply_checkpoint, chk)
-            try:
-                self.staging.workflow_restart(
-                    self.name, restored_step, durable_only=node_failure
-                )
-            finally:
-                restore.result()
+        restored_step = self._restore_state()
+        self.staging.workflow_restart(
+            self.name, restored_step, durable_only=node_failure
+        )
         self.stats.rollbacks += 1
 
     # ------------------------------------------------------------- run loop

@@ -19,7 +19,9 @@ A request is serviced as *plan (meta) → move payload (server locks) → commit
 (meta)*. Snapshot/restore quiesce the data plane first (an in-flight-ops
 gate) so a coordinated checkpoint never captures a torn, half-written group.
 ``parallel=False`` collapses everything back under the metadata lock — the
-seed's single-lock behaviour, kept as the measurable baseline.
+seed's single-lock behaviour, kept as the reference the parallel paths are
+differentially tested against. Recovery has one path: ``workflow_restart``
+builds a replay script that is walked in recorded order, whatever the mode.
 
 Also provides whole-staging snapshot/restore — under *global coordinated*
 checkpointing the staging servers are part of the global snapshot and roll
@@ -42,7 +44,6 @@ from repro.descriptors.odsc import ObjectDescriptor
 from repro.errors import ObjectNotFound, StagingError
 from repro.obs import registry as _obs
 from repro.staging.client import StagingGroup
-from repro.staging.cow import compose_chain, is_cow_snapshot
 
 __all__ = ["SynchronizedStaging", "WaitInterrupted"]
 
@@ -58,7 +59,6 @@ _QUIESCE_WAIT_SECONDS = _obs.histogram("staging.service.quiesce_wait.seconds")
 _CAPTURE_SECONDS = _obs.histogram("checkpoint.capture.seconds")
 _GATE_SECONDS = _obs.histogram("checkpoint.gate.seconds")
 _RESTORE_SECONDS = _obs.histogram("checkpoint.restore.seconds")
-_RECOVERY_RESTORE_FANOUT = _obs.counter("recovery.restore.parallel_servers")
 _RECOVERY_RESTART_SECONDS = _obs.histogram("recovery.workflow_restart.seconds")
 
 
@@ -89,10 +89,6 @@ class SynchronizedStaging:
         # (the seed's single-lock path): the benchmark baseline, and the
         # reference the parallel path is differentially tested against.
         self.parallel = parallel
-        # The recovery path follows the data path's concurrency mode:
-        # partitioned replay scripts (per-variable cursors) only when the
-        # parallel request phases are on, strict global order otherwise.
-        staging.replay_partitioned = parallel
         self._meta = threading.RLock()
         self._data_arrived = threading.Condition(self._meta)
         # Data-plane quiescence gate: payload phases run outside _meta, so
@@ -111,7 +107,7 @@ class SynchronizedStaging:
         self._frontier_dirty: dict[tuple[str, str], int] = {}
         # Serializes whole checkpoint/restore operations against each other
         # so chain updates that happen *outside* the metadata lock (delta
-        # materialization, compose) stay ordered. Acquired before _meta;
+        # materialization, compaction) stay ordered. Acquired before _meta;
         # nothing holding _meta ever takes it, so ordering is acyclic.
         self._ckpt_lock = threading.Lock()
         # Finished consumers no longer gate producers.
@@ -562,19 +558,6 @@ class SynchronizedStaging:
         _RECOVERY_RESTART_SECONDS.record(time.monotonic() - t0)
         return script
 
-    @property
-    def recovery_executor(self):
-        """Thread pool for recovery-side overlap, or None in serial mode.
-
-        The workflow runtime uses it to run component state restore
-        (checkpoint unpickling) concurrently with ``workflow_restart`` /
-        replay; ``parallel=False`` returns None so the seed's sequential
-        recovery is preserved exactly.
-        """
-        if not self.parallel:
-            return None
-        return self.group.executor
-
     def in_replay(self, component: str) -> bool:
         with self._meta:
             return self.staging.in_replay(component)
@@ -594,9 +577,9 @@ class SynchronizedStaging:
         journals; every later call's work under the quiescence gate is just
         sealing those journals — O(mutations since the last epoch), not
         O(state) — and the delta is packaged after the gate reopens.
-        ``full=True`` is the seed-compatible path: a plain full snapshot
-        in the legacy format (restorable by older code), which never turns
-        journaling on by itself.
+        ``full=True`` returns a plain full snapshot (the shape of a chain's
+        base) and never turns journaling on by itself — the full-copy
+        reference the incremental path is tested against.
         """
         t0 = time.monotonic()
         ckpt = self.staging.checkpointer
@@ -624,6 +607,7 @@ class SynchronizedStaging:
                             # seed-shaped; once a chain exists it doubles as
                             # a fresh base.
                             start_chain=(not full) or ckpt.journaling,
+                            parallel=self.group.parallel,
                         )
                         self._frontier_dirty.clear()
                         if not full:
@@ -646,80 +630,41 @@ class SynchronizedStaging:
         _CAPTURE_SECONDS.record(time.monotonic() - t0)
         return snap
 
-    def restore(self, snap: dict) -> None:
-        """Roll staging back to a captured snapshot (full or incremental).
+    def restore(self, snap: dict | None) -> None:
+        """Roll staging back to a captured snapshot (full or incremental);
+        ``None`` — nothing was ever captured — rewinds it to empty.
 
-        Incremental snapshots are composed back into the full format
-        *before* the data plane is quiesced, so the gate closes only for the
-        in-place restore. Each server restores its store *and* its spatial
-        index together (:meth:`StagingServer.restore`): restoring only the
-        store would leave the metadata layer with stale entries for
-        rolled-back versions and missing entries for versions the snapshot
-        re-adds. After an incremental restore the checkpointer rebases onto
-        the restored chain, so the next checkpoint is a delta against the
-        rolled-back state; after a legacy full restore the chain is marked
-        dirty and the next checkpoint re-bases with a full capture.
+        With the data plane quiesced, the checkpointer hands every server
+        its part of the snapshot: the base plus, for an incremental
+        snapshot, the server's own sealed journals, which it re-applies in
+        place (:meth:`StagingServer.restore` rolls store, index and blobs
+        back together, so the metadata layer never points at rolled-back
+        versions). Per-server work is independent and fans out on the shard
+        pool; ``parallel=False`` keeps the serial path the fan-out is
+        differentially tested against. The read frontiers, protection
+        records and health rewind with the data.
         """
         t0 = time.monotonic()
         ckpt = self.staging.checkpointer
         self._exclude_gc()
         try:
-            self._restore_excluded(snap, ckpt)
+            with self._ckpt_lock:
+                with self._meta:
+                    self._quiesce_data_plane()
+                    try:
+                        if snap is None:
+                            snap = ckpt.empty_snapshot()
+                        self._frontier = ckpt.restore(
+                            snap, parallel=self.parallel and self.group.parallel
+                        )
+                        self._frontier_dirty = {}
+                    finally:
+                        self._release_data_plane()
+                    self._data_arrived.notify_all()
+                ckpt.release_discarded()
         finally:
             self._readmit_gc()
         _RESTORE_SECONDS.record(time.monotonic() - t0)
-
-    def _restore_excluded(self, snap: dict, ckpt) -> None:
-        with self._ckpt_lock:
-            cow = is_cow_snapshot(snap)
-            # Per-server chain composition and store/index repopulation are
-            # independent across servers, so the recovery path fans both out
-            # on the shared staging pool: compose runs before the gate even
-            # closes, and the in-gate restore seals once and then works all
-            # servers concurrently. parallel=False keeps the seed serial
-            # path (the differential-test reference).
-            parallel = (
-                self.parallel
-                and self.group.parallel
-                and len(self.group.servers) > 1
-            )
-            executor = self.group.executor if parallel else None
-            full = compose_chain(snap["chain"], executor=executor) if cow else snap
-            with self._meta:
-                snaps = full["servers"]
-                if len(snaps) != len(self.group.servers):
-                    raise StagingError(
-                        f"snapshot covers {len(snaps)} servers, group has "
-                        f"{len(self.group.servers)}"
-                    )
-                self._quiesce_data_plane()
-                try:
-                    if executor is not None:
-                        _RECOVERY_RESTORE_FANOUT.inc(len(snaps))
-                        for fut in [
-                            executor.submit(srv.restore, s)
-                            for srv, s in zip(self.group.servers, snaps)
-                        ]:
-                            fut.result()
-                    else:
-                        for srv, s in zip(self.group.servers, snaps):
-                            srv.restore(s)
-                    self._frontier = dict(full["frontier"])
-                    self._frontier_dirty = {}
-                    # Legacy snapshots (pre-resilience) carry no records/
-                    # health; leave the live state alone for those.
-                    if "protection" in full:
-                        self.group.records.restore(full["protection"])
-                    if "health" in full:
-                        self.group.health.restore(full["health"])
-                    if cow:
-                        ckpt.rebase(snap)
-                    else:
-                        ckpt.mark_dirty()
-                finally:
-                    self._release_data_plane()
-                self._data_arrived.notify_all()
-            ckpt.release_discarded()
 
     def rebuild_server(self, server_id: int, replacement=None) -> int:
         """Rebuild a lost staging server from survivors, then resume.

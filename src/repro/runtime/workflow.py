@@ -38,7 +38,6 @@ from repro.runtime.staging_service import SynchronizedStaging
 from repro.runtime.ulfm import FailureDetector, SparePool
 from repro.staging.client import StagingGroup
 from repro.staging.cow import snapshot_cost_bytes
-from repro.staging.server import StagingServer
 
 __all__ = [
     "SCHEMES",
@@ -134,19 +133,8 @@ class CoordinatedProtocol:
             self._done.discard(comp.name)  # finished components rejoin
             self._rollback_arrived.add(comp.name)
             if len(self._rollback_arrived) == self.parties:
-                if self._staging_snapshot is not None:
-                    self.staging.restore(self._staging_snapshot)
-                else:
-                    # Never checkpointed: staging rewinds to empty.
-                    self.staging.restore(
-                        {
-                            "servers": [
-                                StagingServer.empty_snapshot()
-                                for _ in self.staging.group.servers
-                            ],
-                            "frontier": {},
-                        }
-                    )
+                # None (never checkpointed) rewinds staging to empty.
+                self.staging.restore(self._staging_snapshot)
                 self._pending_saves.clear()
                 self._rollback_arrived.clear()
                 self._rollbacks_completed = gen

@@ -13,9 +13,15 @@ epoch) instead:
   which is the *only* work done under the service's quiescence gate;
 * the sealed journals are packaged into a **delta** outside any lock, and
   appended to a chain hanging off a full **base** snapshot;
-* restore composes ``base + deltas`` back into the seed snapshot format,
-  so every existing restore path (including legacy full snapshots) keeps
-  working unchanged.
+* restore hands every server (and the protection index) its part of the
+  base plus its own sealed journals; the class that recorded a journal is
+  the only code that re-applies it (``apply_journal``), through the same
+  mutators that wrote it. This module never looks inside a journal.
+
+A full snapshot has one shape — ``servers`` (store and index with their
+running aggregates, blobs), ``frontier``, ``protection``, ``health`` —
+whether it is a chain's base, a ``full=True`` capture, a folded chain or
+the never-checkpointed empty group.
 
 Chains are bounded: once a chain exceeds ``max_chain`` deltas the checkpointer
 folds it into a new base (compaction) outside the gate, so restore cost and
@@ -31,11 +37,13 @@ tuples, never payload bytes.
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from time import perf_counter
 from typing import TYPE_CHECKING
 
+from repro.errors import StagingError
 from repro.obs import registry as _obs
+from repro.staging.resilience import GroupHealth, ProtectionIndex
+from repro.staging.server import StagingServer
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.staging.client import StagingGroup
@@ -58,6 +66,7 @@ _DELTA_CAPTURES = _obs.counter("checkpoint.captures.incremental")
 _DELTA_BYTES = _obs.counter("checkpoint.delta.bytes")
 _DELTA_RATIO = _obs.histogram("checkpoint.delta.ratio")
 _COMPOSE_SECONDS = _obs.histogram("checkpoint.compose.seconds")
+_RESTORE_FANOUT = _obs.counter("recovery.restore.parallel_servers")
 
 
 def is_cow_snapshot(snap: dict) -> bool:
@@ -65,195 +74,67 @@ def is_cow_snapshot(snap: dict) -> bool:
     return snap.get("format") == COW_FORMAT
 
 
-# ----------------------------------------------------------- journal replay
-#
-# Each _compose_* helper replays one layer's journals on top of that layer's
-# base snapshot, maintaining the running aggregates the live structures keep
-# (so a composed snapshot restores without any rescans). Replay mirrors the
-# recording sites exactly: journals only record *effective* mutations, so no
-# existence checks beyond what the live code does are needed.
-
-
-def _compose_store(base: dict, journals: list[list[tuple]]) -> dict:
-    objects = {k: list(v) for k, v in base["objects"].items()}
-    nbytes = base["bytes"]
-    if "count" in base and "versions" in base:
-        count = base["count"]
-        versions = {name: set(vs) for name, vs in base["versions"].items()}
-    else:  # legacy aggregate-free base
-        count = sum(len(v) for v in objects.values())
-        versions = {}
-        for name, version in objects:
-            versions.setdefault(name, set()).add(version)
-    for journal in journals:
-        for mut in journal:
-            op = mut[0]
-            if op == "put":
-                obj = mut[1]
-                objects.setdefault(obj.desc.key, []).append(obj)
-                nbytes += obj.nbytes
-                count += 1
-                versions.setdefault(obj.desc.name, set()).add(obj.desc.version)
-            elif op == "evict":
-                _, name, version = mut
-                frags = objects.pop((name, version), None)
-                if frags:
-                    nbytes -= sum(f.nbytes for f in frags)
-                    count -= len(frags)
-                    vs = versions.get(name)
-                    if vs is not None:
-                        vs.discard(version)
-                        if not vs:
-                            del versions[name]
-            else:  # clear
-                objects = {}
-                nbytes = 0
-                count = 0
-                versions = {}
-    return {"objects": objects, "bytes": nbytes, "count": count, "versions": versions}
-
-
-def _compose_index(base: dict, journals: list[list[tuple]]) -> dict:
-    entries = {k: list(v) for k, v in base["entries"].items()}
-    agg = base.get("aggregates")
-    if agg is not None:
-        versions = {name: set(vs) for name, vs in agg["versions"].items()}
-        total_bytes = agg["total_bytes"]
-        logged_bytes = agg["logged_bytes"]
-        count = agg["count"]
-        volumes = dict(agg["volumes"])
-    else:  # legacy aggregate-free base
-        versions = {}
-        total_bytes = logged_bytes = count = 0
-        volumes = {}
-        for (name, version), ents in entries.items():
-            versions.setdefault(name, set()).add(version)
-            count += len(ents)
-            for e in ents:
-                total_bytes += e.nbytes
-                if e.logged:
-                    logged_bytes += e.nbytes
-                volumes[(name, version)] = (
-                    volumes.get((name, version), 0) + e.desc.bbox.volume
-                )
-    for journal in journals:
-        for mut in journal:
-            op = mut[0]
-            if op == "insert":
-                e = mut[1]
-                key = e.desc.key
-                entries.setdefault(key, []).append(e)
-                versions.setdefault(e.desc.name, set()).add(e.desc.version)
-                total_bytes += e.nbytes
-                if e.logged:
-                    logged_bytes += e.nbytes
-                count += 1
-                volumes[key] = volumes.get(key, 0) + e.desc.bbox.volume
-            elif op == "remove":
-                _, name, version = mut
-                dropped = entries.pop((name, version), None)
-                if dropped:
-                    vs = versions.get(name)
-                    if vs is not None:
-                        vs.discard(version)
-                        if not vs:
-                            del versions[name]
-                    for e in dropped:
-                        total_bytes -= e.nbytes
-                        if e.logged:
-                            logged_bytes -= e.nbytes
-                    count -= len(dropped)
-                    volumes.pop((name, version), None)
-            else:  # clear
-                entries = {}
-                versions = {}
-                total_bytes = logged_bytes = count = 0
-                volumes = {}
+def _full_snapshot(server_snaps: list, frontier: dict, records, health) -> dict:
+    """The one shape of a full snapshot (see the module docstring)."""
     return {
-        "entries": entries,
-        "aggregates": {
-            "versions": versions,
-            "total_bytes": total_bytes,
-            "logged_bytes": logged_bytes,
-            "count": count,
-            "volumes": volumes,
-        },
+        "servers": server_snaps,
+        "frontier": frontier,
+        "protection": records.snapshot(),
+        "health": health.snapshot(),
     }
 
 
-def _compose_blobs(base: dict, journals: list[list[tuple]]) -> dict:
-    blobs = {k: dict(v) for k, v in base.items()}
-    for journal in journals:
-        for mut in journal:
-            if mut[0] == "blob_put":
-                _, key, blob_key, arr = mut
-                blobs.setdefault(key, {})[blob_key] = arr
-            else:  # blob_evict
-                blobs.pop(mut[1], None)
-    return blobs
+def _per_server(pool, fn, items) -> list:
+    """``fn`` over per-server ``items``; the work is independent across
+    servers, so a ``pool`` fans it out."""
+    if pool is None:
+        return [fn(item) for item in items]
+    return [fut.result() for fut in [pool.submit(fn, item) for item in items]]
 
 
-def _compose_protection(base: dict, journals: list[list[tuple]]) -> dict:
-    records = {k: dict(v) for k, v in base["records"].items()}
-    for journal in journals:
-        for mut in journal:
-            if mut[0] == "add":
-                rec = mut[1]
-                records.setdefault(rec.key, {})[rec.record_id] = rec
-            else:  # evict
-                records.pop(mut[1], None)
-    return {"records": records}
+def _restore_chain(servers, records, health, base: dict, deltas, pool=None) -> dict:
+    """Bring ``servers`` / ``records`` / ``health`` to ``base + deltas``.
 
-
-def compose_chain(chain: dict, executor=None) -> dict:
-    """Fold ``base + deltas`` into one seed-format full snapshot.
-
-    Pure function of immutable inputs — safe to run outside every lock, and
-    never mutates the chain it reads (compaction and older snapshots may
-    still reference the same base/delta objects). Per-server images are
-    independent, so passing an ``executor`` fans their composition out
-    across workers (the recovery path composes every server's chain at
-    once); the result is bit-identical to the serial fold.
+    Each owner restores its part of the base and re-applies its own sealed
+    journals. Returns the chain's read frontier.
     """
-    t0 = perf_counter()
-    base = chain["base"]
-    deltas = chain["deltas"]
-
-    def compose_server(i: int, server_base: dict) -> dict:
-        journals = [d["servers"][i] for d in deltas]
-        return {
-            "store": _compose_store(
-                server_base["store"], [j["store"] for j in journals]
-            ),
-            "index": _compose_index(
-                server_base["index"], [j["index"] for j in journals]
-            ),
-            "blobs": _compose_blobs(
-                server_base.get("blobs", {}), [j["blobs"] for j in journals]
-            ),
-        }
-
-    if executor is not None and len(base["servers"]) > 1:
-        servers = list(
-            executor.map(compose_server, range(len(base["servers"])), base["servers"])
+    if len(base["servers"]) != len(servers):
+        raise StagingError(
+            f"snapshot covers {len(base['servers'])} servers, group has "
+            f"{len(servers)}"
         )
-    else:
-        servers = [compose_server(i, sb) for i, sb in enumerate(base["servers"])]
+
+    def restore_server(i: int) -> None:
+        servers[i].restore(base["servers"][i], [d["servers"][i] for d in deltas])
+
+    _per_server(pool, restore_server, range(len(servers)))
+    records.restore(base["protection"], [d["protection"] for d in deltas])
+    health.restore(deltas[-1]["health"] if deltas else base["health"])
     frontier = dict(base["frontier"])
     for d in deltas:
         # Read frontiers only advance within a chain (restores rebase the
         # chain), so replay is a plain per-key overwrite.
         frontier.update(d["frontier"])
-    protection = _compose_protection(
-        base["protection"], [d["protection"] for d in deltas]
+    return frontier
+
+
+def compose_chain(chain: dict) -> dict:
+    """Fold ``base + deltas`` into one full snapshot (chain compaction).
+
+    The fold restores the chain into scratch instances of the classes that
+    recorded it and snapshots them, so it can never disagree with a live
+    restore. It needs no group lock and never mutates the chain it reads
+    (older snapshots may still reference the same base/delta objects).
+    """
+    t0 = perf_counter()
+    base = chain["base"]
+    servers = [StagingServer(i) for i in range(len(base["servers"]))]
+    records = ProtectionIndex()
+    health = GroupHealth(len(servers))
+    frontier = _restore_chain(servers, records, health, base, chain["deltas"])
+    composed = _full_snapshot(
+        [s.snapshot() for s in servers], frontier, records, health
     )
-    health = deltas[-1]["health"] if deltas else base["health"]
-    composed = {
-        "servers": servers,
-        "frontier": frontier,
-        "protection": protection,
-        "health": health,
-    }
     _COMPOSE_SECONDS.record(perf_counter() - t0)
     return composed
 
@@ -262,12 +143,11 @@ def compose_chain(chain: dict, executor=None) -> dict:
 
 
 def full_snapshot_bytes(snap: dict) -> int:
-    """Payload bytes referenced by a seed-format full snapshot."""
+    """Payload bytes referenced by a full snapshot."""
     total = 0
     for server in snap["servers"]:
-        store = server["store"] if "store" in server else server
-        total += store["bytes"]
-        for bucket in server.get("blobs", {}).values():
+        total += server["store"]["bytes"]
+        for bucket in server["blobs"].values():
             total += sum(int(b.nbytes) for b in bucket.values())
     return total
 
@@ -296,29 +176,25 @@ class StagingCheckpointer:
     Locking contract: :meth:`capture_full` and :meth:`seal` must be called
     while the owner holds whatever makes the group quiescent (the service's
     metadata lock + data-plane gate); they do O(state) and O(1) work
-    respectively. :meth:`materialize`, :func:`compose_chain` and compaction
-    run on immutable sealed data and need no group locks — the owner only
-    has to serialize whole checkpoint/restore operations against each other
-    (the service's ``_ckpt_lock``).
+    respectively, and so must :meth:`restore`. :meth:`materialize` and
+    compaction run on immutable sealed data and need no group locks — the
+    owner only has to serialize whole checkpoint/restore operations against
+    each other (the service's ``_ckpt_lock``).
     """
 
-    def __init__(
-        self,
-        group: StagingGroup,
-        max_chain: int = 8,
-        full_fallback_ratio: float = 1.0,
-    ) -> None:
+    def __init__(self, group: StagingGroup) -> None:
         self.group = group
         # Deltas kept before folding the chain into a new base.
-        self.max_chain = max_chain
+        self.max_chain = 8
         # Seal falls back to a full capture once journal length reaches
         # ratio × (2 × live fragments): past that point replaying the
         # journal costs as much as re-copying the containers.
-        self.full_fallback_ratio = full_fallback_ratio
+        self.full_fallback_ratio = 1.0
         self.epoch = 0
         self.journaling = False
-        # Live state diverged from the journal lineage (legacy restore,
-        # server rebuild): the next capture must be full.
+        # Live state diverged from the journal lineage (restore of a
+        # ``full=True`` snapshot, server rebuild): the next capture must be
+        # full.
         self.dirty = False
         self._base: dict | None = None
         self._deltas: list[dict] = []
@@ -348,9 +224,6 @@ class StagingCheckpointer:
         """True when the next capture cannot (or should not) be a delta."""
         if not self.journaling or self.dirty or self._base is None:
             return True
-        return self._delta_too_large()
-
-    def _delta_too_large(self) -> bool:
         mutations = sum(s.journal_mutation_count() for s in self.group.servers)
         mutations += self.group.records.journal_len()
         if mutations <= 64:
@@ -364,63 +237,51 @@ class StagingCheckpointer:
 
     # ------------------------------------------------------------- capture
 
-    def _reset_journals(self) -> None:
-        """(Re)start every layer's journal empty — the new epoch base.
+    def release_discarded(self) -> None:
+        """Free journals parked by a re-base; call outside the gate."""
+        self._discarded = []
 
-        The discarded journals are parked on ``self._discarded`` instead of
-        being dropped: freeing them can cascade through every payload the
-        epoch evicted, and this method runs under the quiescence gate.
-        """
+    def _adopt(self, base: dict, deltas) -> None:
+        """Make ``base + deltas`` the lineage: every layer's journal restarts
+        empty, so the next incremental capture is a delta against it."""
         for server in self.group.servers:
             server.enable_journal()
             self._discarded.append(server.seal_delta())
         self.group.records.enable_journal()
         self._discarded.append(self.group.records.seal_journal())
-
-    def release_discarded(self) -> None:
-        """Free journals parked by a re-base; call outside the gate."""
-        self._discarded = []
+        # Park the superseded chain too: at high churn the old base holds
+        # the last references to every payload evicted since it was
+        # captured, and freeing those under the gate stalls the data plane
+        # for longer than the capture itself.
+        self._discarded.append((self._base, self._deltas))
+        self._base = base
+        self._deltas = list(deltas)
+        self.dirty = False
+        self.journaling = True
+        _CHAIN_LENGTH.set(len(self._deltas))
 
     def capture_full(
-        self, frontier: dict, *, start_chain: bool = True, parallel: bool | None = None
+        self, frontier: dict, *, start_chain: bool = True, parallel: bool = False
     ) -> dict:
-        """Capture a seed-format full snapshot (caller holds the gate).
+        """Capture a full snapshot (caller holds the gate).
 
         With ``start_chain`` the chain rebases onto this capture and
         journaling (re)starts, so subsequent captures are deltas against it;
-        without it (the seed-compatible ``full=True`` path on a group that
-        never checkpointed incrementally) journaling stays off and no
+        without it (the ``full=True`` path on a group that never
+        checkpointed incrementally) journaling stays off and no
         per-mutation overhead is ever paid.
         """
-        servers = self.group.servers
-        if parallel is None:
-            parallel = self.group.parallel and len(servers) > 1
-        if parallel:
-            futures: list[Future] = [
-                self.group.executor.submit(s.snapshot) for s in servers
-            ]
-            server_snaps = [f.result() for f in futures]
-        else:
-            server_snaps = [s.snapshot() for s in servers]
-        snap = {
-            "servers": server_snaps,
-            "frontier": dict(frontier),
-            "protection": self.group.records.snapshot(),
-            "health": self.group.health.snapshot(),
-        }
+        group = self.group
+        pool = group.executor if parallel and len(group.servers) > 1 else None
+        snap = _full_snapshot(
+            _per_server(pool, lambda s: s.snapshot(), group.servers),
+            dict(frontier),
+            group.records,
+            group.health,
+        )
         if start_chain:
-            self._reset_journals()
+            self._adopt(snap, ())
             self.epoch += 1
-            # Park the superseded chain too: at high churn the old base holds
-            # the last references to every payload evicted since it was
-            # captured, and freeing those under the gate stalls the data
-            # plane for longer than the capture itself.
-            self._discarded.append((self._base, self._deltas))
-            self._base = snap
-            self._deltas = []
-            self.dirty = False
-            self.journaling = True
-            _CHAIN_LENGTH.set(0)
             self._notify_epoch()
         _FULL_CAPTURES.inc()
         return snap
@@ -466,7 +327,12 @@ class StagingCheckpointer:
         delta["nbytes"] = nbytes
         delta["mutations"] = mutations
         if len(self._deltas) >= self.max_chain:
-            self._compact()
+            # Compaction: fold the chain into a new base (no group locks).
+            self._base = compose_chain(
+                {"base": self._base, "deltas": tuple(self._deltas)}
+            )
+            self._deltas = []
+            _COMPACTIONS.inc()
         self._deltas.append(delta)
         _DELTA_CAPTURES.inc()
         _DELTA_BYTES.inc(nbytes)
@@ -476,26 +342,37 @@ class StagingCheckpointer:
         _CHAIN_LENGTH.set(len(self._deltas))
         return self.chain_view()
 
-    def _compact(self) -> None:
-        """Fold the chain into a new base (no group locks needed)."""
-        self._base = compose_chain({"base": self._base, "deltas": tuple(self._deltas)})
-        self._deltas = []
-        _COMPACTIONS.inc()
-
     # ------------------------------------------------------------- restore
 
-    def rebase(self, snap: dict) -> None:
-        """Adopt a restored incremental snapshot's chain as the new lineage
-        (caller holds the gate, having just restored the composed state).
+    def empty_snapshot(self) -> dict:
+        """The full snapshot of this group had it never stored anything —
+        what a rollback before the first checkpoint restores. Health is the
+        live one: an empty group says nothing about which servers are up."""
+        empty = [StagingServer.empty_snapshot() for _ in self.group.servers]
+        return _full_snapshot(empty, {}, ProtectionIndex(), self.group.health)
 
-        The next incremental capture produces a delta against ``snap`` —
-        exactly the state the group was rolled back to."""
-        chain = snap["chain"]
-        self._discarded.append((self._base, self._deltas))
-        self._base = chain["base"]
-        self._deltas = list(chain["deltas"])
-        self.epoch = snap["epoch"]
-        self._reset_journals()
-        self.journaling = True
-        self.dirty = False
-        _CHAIN_LENGTH.set(len(self._deltas))
+    def restore(self, snap: dict, parallel: bool = False) -> dict:
+        """Turn ``snap`` (chain or full) back into live group state (caller
+        holds the gate); returns the read frontier it carries.
+
+        An incremental snapshot's chain becomes the new lineage. A full
+        snapshot has no lineage to adopt, so the chain is marked dirty and
+        the next capture re-bases.
+        """
+        group = self.group
+        cow = is_cow_snapshot(snap)
+        base, deltas = (
+            (snap["chain"]["base"], snap["chain"]["deltas"]) if cow else (snap, ())
+        )
+        pool = group.executor if parallel and len(group.servers) > 1 else None
+        if pool is not None:
+            _RESTORE_FANOUT.inc(len(group.servers))
+        frontier = _restore_chain(
+            group.servers, group.records, group.health, base, deltas, pool
+        )
+        if cow:
+            self._adopt(base, deltas)
+            self.epoch = snap["epoch"]
+        else:
+            self.mark_dirty()
+        return frontier

@@ -76,22 +76,37 @@ class SpatialIndex:
         self._journal = []
         return sealed
 
+    def apply_journal(self, journal: list[tuple]) -> None:
+        """Re-apply a sealed journal through the mutators that recorded it."""
+        for mut in journal:
+            if mut[0] == "insert":
+                self._insert(mut[1])
+            elif mut[0] == "remove":
+                self.remove_version(mut[1], mut[2])
+            else:
+                self.clear()
+
     # ------------------------------------------------------------ mutation
 
     def insert(self, desc: ObjectDescriptor, nbytes: int, logged: bool = False) -> IndexEntry:
         """Index one fragment; returns the entry created."""
         entry = IndexEntry(desc=desc, nbytes=nbytes, logged=logged)
+        self._insert(entry)
+        return entry
+
+    def _insert(self, entry: IndexEntry) -> None:
+        """Add one entry: containers, aggregates, journal."""
+        desc = entry.desc
         key = desc.key
         self._entries.setdefault(key, []).append(entry)
         self._versions.setdefault(desc.name, set()).add(desc.version)
-        self._total_bytes += nbytes
-        if logged:
-            self._logged_bytes += nbytes
+        self._total_bytes += entry.nbytes
+        if entry.logged:
+            self._logged_bytes += entry.nbytes
         self._count += 1
         self._volumes[key] = self._volumes.get(key, 0) + desc.bbox.volume
         if self._journal is not None:
             self._journal.append(("insert", entry))
-        return entry
 
     def remove_version(self, name: str, version: int) -> int:
         """Drop all entries for (name, version); returns entries removed."""
@@ -176,23 +191,22 @@ class SpatialIndex:
             },
         }
 
-    def restore(self, snap: dict) -> None:
-        """Roll the index back to a previously captured snapshot.
-
-        Aggregate-carrying snapshots restore without a rescan; legacy
-        snapshots (entries only) fall back to :meth:`_recount`.
+    def restore(self, snap: dict, journals=()) -> None:
+        """Roll the index back to ``snap`` plus the sealed ``journals`` that
+        followed it; same contract as :meth:`ObjectStore.restore`.
         """
+        journaling = self._journal is not None
+        self._journal = None
         self._entries = {k: list(v) for k, v in snap["entries"].items()}
-        agg = snap.get("aggregates")
-        if agg is not None:
-            self._versions = {name: set(vs) for name, vs in agg["versions"].items()}
-            self._total_bytes = agg["total_bytes"]
-            self._logged_bytes = agg["logged_bytes"]
-            self._count = agg["count"]
-            self._volumes = dict(agg["volumes"])
-        else:
-            self._recount()
-        if self._journal is not None:
+        agg = snap["aggregates"]
+        self._versions = {name: set(vs) for name, vs in agg["versions"].items()}
+        self._total_bytes = agg["total_bytes"]
+        self._logged_bytes = agg["logged_bytes"]
+        self._count = agg["count"]
+        self._volumes = dict(agg["volumes"])
+        for journal in journals:
+            self.apply_journal(journal)
+        if journaling:
             self._journal = []
 
     def clear(self) -> None:
@@ -205,24 +219,6 @@ class SpatialIndex:
         self._volumes.clear()
         if self._journal is not None:
             self._journal.append(("clear",))
-
-    def _recount(self) -> None:
-        """Rebuild the incremental aggregates from ``_entries`` (restore path)."""
-        self._versions = {}
-        self._total_bytes = 0
-        self._logged_bytes = 0
-        self._count = 0
-        self._volumes = {}
-        for (name, version), entries in self._entries.items():
-            self._versions.setdefault(name, set()).add(version)
-            self._count += len(entries)
-            for e in entries:
-                self._total_bytes += e.nbytes
-                if e.logged:
-                    self._logged_bytes += e.nbytes
-                self._volumes[(name, version)] = (
-                    self._volumes.get((name, version), 0) + e.desc.bbox.volume
-                )
 
     # ------------------------------------------------------------- metrics
 

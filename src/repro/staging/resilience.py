@@ -348,7 +348,8 @@ class ProtectionIndex:
     """Thread-safe (name, version) -> {record_id: PutRecord} map."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        # Reentrant: restore and apply_journal call the mutators under it.
+        self._lock = threading.RLock()
         self._records: dict[tuple[str, int], dict[str, PutRecord]] = {}
         # Mutation journal for incremental checkpointing; None = off. Same
         # seal-in-O(1) contract as ObjectStore._journal.
@@ -378,6 +379,15 @@ class ProtectionIndex:
             sealed = self._journal if self._journal is not None else []
             self._journal = []
             return sealed
+
+    def apply_journal(self, journal: list[tuple]) -> None:
+        """Re-apply a sealed journal through the mutators that recorded it."""
+        with self._lock:
+            for mut in journal:
+                if mut[0] == "add":
+                    self.add(mut[1])
+                else:
+                    self.evict(*mut[1])
 
     def add(self, rec: PutRecord) -> None:
         with self._lock:
@@ -417,12 +427,7 @@ class ProtectionIndex:
         """Drop records of ``name`` strictly below ``version``."""
         with self._lock:
             doomed = [(n, v) for (n, v) in self._records if n == name and v < version]
-            dropped = 0
-            for key in doomed:
-                dropped += len(self._records.pop(key))
-                if self._journal is not None:
-                    self._journal.append(("evict", key))
-            return dropped
+            return sum(self.evict(n, v) for n, v in doomed)
 
     def __len__(self) -> int:
         with self._lock:
@@ -433,10 +438,16 @@ class ProtectionIndex:
         with self._lock:
             return {"records": {k: dict(v) for k, v in self._records.items()}}
 
-    def restore(self, snap: dict) -> None:
+    def restore(self, snap: dict, journals=()) -> None:
+        """Roll back to ``snap`` plus the sealed ``journals`` that followed
+        it; an open journal restarts empty (same contract as the store's)."""
         with self._lock:
+            journaling = self._journal is not None
+            self._journal = None
             self._records = {k: dict(v) for k, v in snap["records"].items()}
-            if self._journal is not None:
+            for journal in journals:
+                self.apply_journal(journal)
+            if journaling:
                 self._journal = []
 
 
@@ -672,6 +683,31 @@ def _fetch_parity(client: "StagingClient", rec: PutRecord, p: ParityInfo) -> np.
     return client._server_op(p.server, fetch_verified)
 
 
+def _fetch_shards(
+    client: "StagingClient",
+    rec: PutRecord,
+    indices,
+    bufs: dict[int, np.ndarray],
+    erased: set[int],
+    absent: set[int] | None = None,
+) -> None:
+    """Fetch data shards ``indices`` into ``bufs``; the ones lost to server
+    faults land in ``erased``. Shards a healthy server simply does not hold
+    raise :class:`ObjectNotFound`, unless the caller collects them in
+    ``absent``. Already fetched or erased shards are skipped."""
+    for i in indices:
+        if i in bufs or i in erased:
+            continue
+        try:
+            bufs[i] = _fetch_shard(client, rec, i)
+        except (ServerUnavailable, TransientServerError):
+            erased.add(i)
+        except ObjectNotFound:
+            if absent is None:
+                raise
+            absent.add(i)
+
+
 @dataclass
 class _DecodeJob:
     """One subgroup codeword ready to decode: survivors in, erasures out.
@@ -705,27 +741,15 @@ def _plan_recovery(
     data is simply absent (e.g. rolled back).
     """
     group = client.group
-    fault_losses = set(erased)
-    absent = 0
-
+    absent: set[int] = set()
     if rec.mode == "rs":
         # Decoding is per subgroup: fetch the surviving members of every
         # codeword that lost a shard (other subgroups are untouched).
         affected = {rec.group_of(i) for i in erased}
         needed = [i for gi in affected for i in rec.groups[gi]]
-    else:
-        needed = []
-    for i in needed:
-        if i in bufs or i in erased:
-            continue
-        try:
-            bufs[i] = _fetch_shard(client, rec, i)
-        except (ServerUnavailable, TransientServerError):
-            erased.add(i)
-            fault_losses.add(i)
-        except ObjectNotFound:
-            erased.add(i)
-            absent += 1
+        _fetch_shards(client, rec, needed, bufs, erased, absent)
+    fault_losses = set(erased)
+    erased |= absent
 
     if rec.mode == "replication":
         recovered: dict[int, np.ndarray] = {}
@@ -788,7 +812,7 @@ def _plan_recovery(
         if len(survivors) < gk:
             if not fault_losses and absent:
                 raise ObjectNotFound(
-                    f"{rec.desc}: {absent} shard(s) absent with no server faults"
+                    f"{rec.desc}: {len(absent)} shard(s) absent with no server faults"
                 )
             raise StagingDegradedError(
                 f"{rec.desc}: codeword {gi} lost {len(group_erased)} of {gk} data "
@@ -905,11 +929,7 @@ def read_record(
     ]
     bufs: dict[int, np.ndarray] = {}
     erased: set[int] = set()
-    for i in needed:
-        try:
-            bufs[i] = _fetch_shard(client, rec, i)
-        except (ServerUnavailable, TransientServerError):
-            erased.add(i)
+    _fetch_shards(client, rec, needed, bufs, erased)
     if erased:
         t0 = perf_counter()
         bufs.update(_reconstruct(client, rec, bufs, erased))
@@ -917,24 +937,6 @@ def read_record(
         _DEGRADED_READ_SECONDS.record(perf_counter() - t0)
     _fill_from_shards(rec, bufs, needed, desc, out, need)
     return bool(erased)
-
-
-def collect_shards(
-    client: "StagingClient", rec: PutRecord, want: set[int] | None = None
-) -> dict[int, np.ndarray]:
-    """All (or ``want``) data shards of a record, reconstructing as needed."""
-    k = len(rec.shards)
-    indices = sorted(want) if want is not None else list(range(k))
-    bufs: dict[int, np.ndarray] = {}
-    erased: set[int] = set()
-    for i in indices:
-        try:
-            bufs[i] = _fetch_shard(client, rec, i)
-        except (ServerUnavailable, TransientServerError):
-            erased.add(i)
-    if erased:
-        bufs.update(_reconstruct(client, rec, bufs, erased))
-    return bufs
 
 
 # ----------------------------------------------------------------- rebuild
@@ -1039,11 +1041,9 @@ def _plan_rebuild_record(
         want |= set(rec.groups[p.group])
     bufs: dict[int, np.ndarray] = {}
     erased: set[int] = set()
-    for i in sorted(want) if want else range(len(rec.shards)):
-        try:
-            bufs[i] = _fetch_shard(client, rec, i)
-        except (ServerUnavailable, TransientServerError):
-            erased.add(i)
+    _fetch_shards(
+        client, rec, sorted(want) if want else range(len(rec.shards)), bufs, erased
+    )
     jobs: list[_DecodeJob] = []
     if erased:
         jobs, recovered = _plan_recovery(client, rec, bufs, erased)

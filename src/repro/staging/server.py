@@ -203,15 +203,30 @@ class StagingServer:
         """
         arr = np.ascontiguousarray(data, dtype=np.uint8).reshape(-1).copy()
         with self.lock:
-            bucket = self._blobs.setdefault((name, version), {})
-            old = bucket.get(key)
-            if old is not None:
-                self._blob_bytes -= int(old.nbytes)
-            bucket[key] = arr
-            self._blob_bytes += int(arr.nbytes)
-            if self._blob_journal is not None:
-                self._blob_journal.append(("blob_put", (name, version), key, arr))
-                self._blob_journal_bytes += int(arr.nbytes)
+            self._insert_blob((name, version), key, arr)
+
+    def _insert_blob(self, nv: tuple[str, int], key: str, arr: np.ndarray) -> None:
+        """Set one blob: bucket, byte total, journal (caller holds the lock)."""
+        bucket = self._blobs.setdefault(nv, {})
+        old = bucket.get(key)
+        if old is not None:
+            self._blob_bytes -= int(old.nbytes)
+        bucket[key] = arr
+        self._blob_bytes += int(arr.nbytes)
+        if self._blob_journal is not None:
+            self._blob_journal.append(("blob_put", nv, key, arr))
+            self._blob_journal_bytes += int(arr.nbytes)
+
+    def _evict_blobs(self, nv: tuple[str, int]) -> int:
+        """Drop every blob of ``nv``; returns bytes freed (caller holds the lock)."""
+        blobs = self._blobs.pop(nv, None)
+        if not blobs:
+            return 0
+        freed = sum(int(b.nbytes) for b in blobs.values())
+        self._blob_bytes -= freed
+        if self._blob_journal is not None:
+            self._blob_journal.append(("blob_evict", nv))
+        return freed
 
     def get_blob(self, name: str, version: int, key: str) -> np.ndarray:
         """Fetch one protection blob (served by reference; treat as immutable)."""
@@ -247,13 +262,7 @@ class StagingServer:
         with self.lock:
             self.index.remove_version(name, version)
             freed = self.store.evict(name, version)
-            blobs = self._blobs.pop((name, version), None)
-            if blobs:
-                blob_bytes = sum(int(b.nbytes) for b in blobs.values())
-                self._blob_bytes -= blob_bytes
-                freed += blob_bytes
-                if self._blob_journal is not None:
-                    self._blob_journal.append(("blob_evict", (name, version)))
+            freed += self._evict_blobs((name, version))
         _EVICT_COUNT.inc()
         _EVICT_BYTES.inc(freed)
         return freed
@@ -299,32 +308,34 @@ class StagingServer:
     @staticmethod
     def empty_snapshot() -> dict:
         """The snapshot of a server that never stored anything."""
-        return {
-            "store": {"objects": {}, "bytes": 0},
-            "index": {"entries": {}},
-            "blobs": {},
-        }
+        return StagingServer(-1).snapshot()
 
-    def restore(self, snap: dict) -> None:
+    def restore(self, snap: dict, deltas=()) -> None:
         """Roll store, index, and blobs back together (coordinated rollback).
 
-        Also accepts a legacy store-only snapshot (no ``"index"`` key); the
-        index is then rebuilt from the restored fragments so a rollback can
-        never leave the metadata layer pointing at rolled-back versions.
-        Snapshots predating the protection side-store restore to empty blobs.
+        ``deltas`` are this server's sealed epochs (:meth:`seal_delta`
+        results) recorded after ``snap``, oldest first: each layer restores
+        its base and then re-applies its own journals, so an incremental
+        checkpoint restores in place. Restoring all three together means a
+        rollback can never leave the metadata layer pointing at rolled-back
+        versions. Open journals restart empty.
         """
         with self.lock:
-            if "store" in snap:
-                self.store.restore(snap["store"])
-                self.index.restore(snap["index"])
-            else:
-                self.store.restore(snap)
-                self.rebuild_index()
-            self._blobs = {k: dict(v) for k, v in snap.get("blobs", {}).items()}
+            self.store.restore(snap["store"], [d["store"] for d in deltas])
+            self.index.restore(snap["index"], [d["index"] for d in deltas])
+            journaling = self._blob_journal is not None
+            self._blob_journal = None
+            self._blobs = {k: dict(v) for k, v in snap["blobs"].items()}
             self._blob_bytes = sum(
                 int(b.nbytes) for bucket in self._blobs.values() for b in bucket.values()
             )
-            if self._blob_journal is not None:
+            for delta in deltas:
+                for mut in delta["blobs"]:
+                    if mut[0] == "blob_put":
+                        self._insert_blob(mut[1], mut[2], mut[3])
+                    else:
+                        self._evict_blobs(mut[1])
+            if journaling:
                 self._blob_journal = []
                 self._blob_journal_bytes = 0
 

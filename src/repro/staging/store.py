@@ -102,6 +102,21 @@ class ObjectStore:
         self._journal_put_bytes = 0
         return sealed
 
+    def apply_journal(self, journal: list[tuple]) -> None:
+        """Re-apply a sealed journal through the mutators that recorded it.
+
+        Journals hold only *effective* mutations, so a journaled put skips
+        the overlap checks it already passed and goes straight to
+        :meth:`_insert`.
+        """
+        for mut in journal:
+            if mut[0] == "put":
+                self._insert(mut[1])
+            elif mut[0] == "evict":
+                self.evict(mut[1], mut[2])
+            else:
+                self.clear()
+
     # ------------------------------------------------------------------ put
 
     def put(self, desc: ObjectDescriptor, data: np.ndarray) -> StoredObject:
@@ -117,8 +132,7 @@ class ObjectStore:
         if arr is data or arr.base is not None:
             arr = arr.copy()
         obj = StoredObject(desc, arr)
-        frags = self._objects.setdefault(desc.key, [])
-        for existing in frags:
+        for existing in self._objects.get(desc.key, ()):
             overlap = existing.desc.bbox.intersect(desc.bbox)
             if overlap is None:
                 continue
@@ -132,14 +146,19 @@ class ObjectStore:
             if existing.desc.bbox.contains(desc.bbox):
                 # Fully redundant write; keep the store unchanged.
                 return existing
-        frags.append(obj)
+        self._insert(obj)
+        return obj
+
+    def _insert(self, obj: StoredObject) -> None:
+        """Add an accepted fragment: containers, aggregates, journal."""
+        desc = obj.desc
+        self._objects.setdefault(desc.key, []).append(obj)
         self._bytes += obj.nbytes
         self._count += 1
         self._versions.setdefault(desc.name, set()).add(desc.version)
         if self._journal is not None:
             self._journal.append(("put", obj))
             self._journal_put_bytes += obj.nbytes
-        return obj
 
     # ------------------------------------------------------------------ get
 
@@ -272,25 +291,24 @@ class ObjectStore:
             "versions": {name: set(vs) for name, vs in self._versions.items()},
         }
 
-    def restore(self, snap: dict) -> None:
-        """Roll the store back to a previously captured snapshot.
+    def restore(self, snap: dict, journals=()) -> None:
+        """Roll the store back to ``snap`` plus the sealed ``journals`` that
+        followed it (an incremental checkpoint's base + deltas).
 
-        Snapshots carry the running aggregates; legacy snapshots (pre
-        aggregate-carrying format) fall back to rebuilding them by scanning.
-        Any open mutation journal restarts empty: the restored state is the
-        new epoch base.
+        The running aggregates travel with the snapshot, so nothing is
+        rescanned. Any open mutation journal restarts empty: the restored
+        state is the new epoch base, and the re-applied history is not
+        recorded a second time.
         """
+        journaling = self._journal is not None
+        self._journal = None
         self._objects = {k: list(v) for k, v in snap["objects"].items()}
         self._bytes = snap["bytes"]
-        if "count" in snap and "versions" in snap:
-            self._count = snap["count"]
-            self._versions = {name: set(vs) for name, vs in snap["versions"].items()}
-        else:
-            self._count = sum(len(v) for v in self._objects.values())
-            self._versions = {}
-            for name, version in self._objects:
-                self._versions.setdefault(name, set()).add(version)
-        if self._journal is not None:
+        self._count = snap["count"]
+        self._versions = {name: set(vs) for name, vs in snap["versions"].items()}
+        for journal in journals:
+            self.apply_journal(journal)
+        if journaling:
             self._journal = []
             self._journal_put_bytes = 0
 

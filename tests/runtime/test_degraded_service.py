@@ -68,15 +68,23 @@ class TestDegradedService:
         # Health rewound too: the post-snapshot down-marking is forgotten.
         assert pgroup.health.state(3) == "up"
 
-    def test_legacy_snapshot_without_resilience_keys_restores(
+    def test_rollback_before_first_checkpoint_rewinds_protection_records(
         self, service, pgroup, domain
     ):
-        d0 = fdesc(domain, 0)
-        service.put("sim", d0, make_payload(d0), 0)
-        snap = service.snapshot(full=True)
-        del snap["protection"]
-        del snap["health"]
-        service.restore(snap)  # must not raise
+        d = fdesc(domain, 0)
+        service.put("sim", d, make_payload(d), 0)
+        assert len(pgroup.records) == 1
+        pgroup.health.mark_down(3)
+
+        service.restore(None)  # a coordinated rollback with nothing captured
+        # Records must not outlive their data: a stale record makes covers()
+        # true for a version whose get then raises ObjectNotFound.
+        assert len(pgroup.records) == 0
+        assert pgroup.total_bytes == 0
+        assert sum(s.protection_nbytes for s in pgroup.servers) == 0
+        assert not service.staging.client.covers(d)
+        # Emptiness says nothing about liveness: health is not rewound.
+        assert pgroup.health.state(3) == "down"
 
     def test_rebuild_server_restores_direct_service(self, service, pgroup, domain):
         d = fdesc(domain, 0)

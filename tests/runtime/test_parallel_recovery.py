@@ -1,17 +1,16 @@
 """Differential tests: parallel recovery is byte-identical to serial.
 
-The recovery engine (PR "parallel recovery") parallelises three paths —
-partitioned replay, concurrent per-server restore, and pipelined/batched
-rebuild — each behind a ``parallel`` flag that preserves the serial seed
-path exactly. These tests prove the equivalence the design claims:
+The recovery engine (PR "parallel recovery") parallelises two paths —
+concurrent per-server restore and pipelined/batched rebuild — each behind a
+``parallel`` flag that preserves the serial seed path exactly. Replay has
+one path (a strict recorded-order cursor) in both modes. These tests prove
+the equivalence the design claims:
 
-* a partitioned replay script serves every per-variable request stream the
-  exact events the serial global-order script would, for *any* interleaving
-  that respects per-name order (the only order the consistency argument
-  needs);
+* a replay script rejects a recovering component that re-issues its gets in
+  a different order than it recorded them, at the service's default
+  settings;
 * restoring a CoW snapshot chain with the per-server fan-out lands on the
-  same bytes as the serial compose + restore, across random epoch
-  boundaries;
+  same bytes as the serial restore, across random epoch boundaries;
 * a pipelined, batch-decoded rebuild repopulates a replacement server with
   the same bytes as the serial record-at-a-time rebuild, under random
   fault plans;
@@ -30,8 +29,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import WorkflowStaging
-from repro.core.event_queue import EventQueue
-from repro.core.events import EventKind
 from repro.descriptors import ObjectDescriptor
 from repro.errors import ReplayError
 from repro.faults import FaultPlan, inject_faults
@@ -65,89 +62,34 @@ def desc_for(name: str, version: int) -> ObjectDescriptor:
 # --------------------------------------------------------------------- replay
 
 
-def build_queue(tokens: list[int]) -> EventQueue:
-    """Token-driven event log: 0-2 put NAMES[t], 3-5 get NAMES[t-3], 6 chk."""
-    q = EventQueue("ana")
-    versions = {n: -1 for n in NAMES}
-    for step, tok in enumerate(tokens):
-        if tok == 6:
-            q.record_checkpoint(step, durable=True)
-        elif tok < 3:
-            name = NAMES[tok]
-            versions[name] += 1
-            q.record_data(
-                EventKind.PUT, desc_for(name, versions[name]), f"p{step}", step
-            )
-        else:
-            name = NAMES[tok - 3]
-            if versions[name] >= 0:
-                q.record_data(
-                    EventKind.GET, desc_for(name, versions[name]), f"g{step}", step
-                )
-    return q
-
-
-class TestPartitionedReplayDifferential:
-    """Partitioned scripts serve the exact events serial scripts would."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        tokens=st.lists(st.integers(min_value=0, max_value=6), max_size=40),
-        data=st.data(),
-    )
-    def test_any_per_name_order_matches_serial_script(self, tokens, data):
-        q = build_queue(tokens)
-        serial = q.build_replay_script()
-        part = q.build_replay_script(partitioned=True)
-        assert part.remaining == serial.remaining
-
-        # The serial script defines, per variable, the event stream replay
-        # must re-observe. Drain it in strict global order.
-        serial_by_name: dict[str, list] = {}
-        while not serial.exhausted:
-            ev = serial.advance()
-            serial_by_name.setdefault(ev.desc.name, []).append(ev)
-
-        # Consume the partitioned script in a random interleaving that only
-        # respects per-name order — the partition invariant — and check every
-        # request is served the event the serial order assigned it.
-        pending = {n: list(evs) for n, evs in serial_by_name.items()}
-        while any(pending.values()):
-            name = data.draw(
-                st.sampled_from(sorted(n for n, evs in pending.items() if evs))
-            )
-            want = pending[name].pop(0)
-            assert part.expected_event(want.desc) == want
-            assert part.consume(want.desc) == want
-        assert part.exhausted
-        assert part.remaining == 0
-
-    @settings(max_examples=30, deadline=None)
-    @given(tokens=st.lists(st.integers(min_value=0, max_value=6), max_size=40))
-    def test_partition_names_cover_script(self, tokens):
-        q = build_queue(tokens)
-        serial = q.build_replay_script()
-        part = q.build_replay_script(partitioned=True)
-        assert sorted(part.partition_names()) == sorted(
-            {ev.desc.name for ev in serial.events}
-        )
-
-    def test_cannot_partition_partially_consumed_script(self):
-        q = build_queue([0, 0, 3])
-        script = q.build_replay_script()
-        script.advance()
-        with pytest.raises(ReplayError):
-            script.enable_partitioning()
-
-    def test_partitioned_request_for_unknown_name_raises(self):
-        q = build_queue([0])
-        script = q.build_replay_script(partitioned=True)
-        with pytest.raises(ReplayError):
-            script.expected_event(desc_for("nope", 0))
+class TestStrictReplayOrder:
+    def test_swapped_gets_of_two_variables_raise_at_default_settings(self):
+        group = StagingGroup.create(DOMAIN, num_servers=2)
+        svc = SynchronizedStaging(WorkflowStaging(group), max_wait=5.0)
+        svc.register("sim")
+        svc.register("ana")
+        for name in ("u", "v"):
+            svc.declare_coupling(name, "ana")
+            svc.put("sim", desc_for(name, 0), make_payload(desc_for(name, 0)), step=0)
+        svc.get_blocking("ana", desc_for("u", 0), step=0)
+        svc.get_blocking("ana", desc_for("v", 0), step=0)
+        try:
+            script = svc.workflow_restart("ana", 0)
+            assert [ev.desc.name for ev in script.events] == ["u", "v"]
+            # The recorded order is u then v; re-issuing v first diverges
+            # from the initial execution even though v's own stream is intact.
+            with pytest.raises(ReplayError):
+                svc.get_blocking("ana", desc_for("v", 0), step=0)
+            # The divergence consumed nothing: the recorded order still replays.
+            assert svc.get_blocking("ana", desc_for("u", 0), step=0).replayed
+            assert svc.get_blocking("ana", desc_for("v", 0), step=0).replayed
+            assert not svc.in_replay("ana")
+        finally:
+            svc.close()
 
 
 class TestWorkflowReplayDifferential:
-    """End-to-end: partitioned replay keeps runs read-stable vs serial."""
+    """End-to-end: recovery keeps runs read-stable in serial and parallel mode."""
 
     def test_failure_recovery_consistent_serial_and_parallel(self):
         specs = coupled_specs(num_steps=12, domain=Domain((8, 8, 4)))

@@ -10,12 +10,14 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.geometry import Domain
+from repro.obs import registry as _obs
 from repro.runtime import (
     ComponentSpec,
     FailurePlan,
     ThreadedWorkflow,
     run_with_reference,
 )
+from repro.staging import ProtectionConfig
 from repro.workloads import coupled_specs
 
 pytestmark = pytest.mark.integration
@@ -149,6 +151,25 @@ class TestCoordinated:
             coordinated_period=4,
         )
         assert run.consistent
+
+    def test_failure_before_first_checkpoint_with_protection(self):
+        # Rolling back to "never checkpointed" must rewind the protection
+        # records with the data. Stale records make covers() true for
+        # versions whose fragments are gone, so the consumer's blocking get
+        # spins through data-phase retries instead of waiting.
+        reference = ThreadedWorkflow(specs(), "ds").run()
+        retries = _obs.counter("staging.service.data_phase.retries")
+        before = retries.value
+        run = ThreadedWorkflow(
+            specs(),
+            "coordinated",
+            failures=[FailurePlan("analytic", 2)],
+            coordinated_period=4,
+            protection=ProtectionConfig(mode="rs", parity=1),
+        ).run()
+        run.verify_against(reference)
+        assert run.component_stats["simulation"].rollbacks == 1
+        assert retries.value == before
 
     def test_two_failures(self):
         _, run = run_with_reference(

@@ -8,8 +8,8 @@ protection records, health, and read frontiers. Hypothesis drives random
 put / get (frontier advance) / evict / snapshot / restore (rollback)
 interleavings through the synchronized service with ``max_chain=2`` so
 chain compaction boundaries are crossed constantly; directed tests cover
-legacy-snapshot load, the full-capture fallback under churn, and the
-aggregate-carrying restore path (no ``_recount`` rescans).
+restoring a ``full=True`` snapshot over a live chain and the full-capture
+fallback under churn.
 """
 
 from __future__ import annotations
@@ -359,16 +359,14 @@ class TestSeedCompatibility:
         assert not service.staging.checkpointer.journaling
         assert service.group.servers[0].store._journal is None
 
-    def test_legacy_restore_marks_chain_dirty(self):
+    def test_full_restore_marks_chain_dirty(self):
         service = make_service()
         put_versions(service, "x", [0])
-        legacy = service.snapshot(full=True)
+        full = service.snapshot(full=True)
         service.snapshot()  # start an incremental chain
         put_versions(service, "x", [1])
-        fp_before = snap_fp(
-            {**legacy, "servers": legacy["servers"]}
-        )  # legacy fp unchanged by later ops
-        service.restore(legacy)
+        fp_before = snap_fp(full)  # unchanged by later ops
+        service.restore(full)
         assert snap_fp(reference_full(service)) == fp_before
         ckpt = service.staging.checkpointer
         assert ckpt.dirty and ckpt.wants_full()
@@ -394,40 +392,6 @@ class TestSeedCompatibility:
             for name, vs in s["store"].get("versions", {}).items():
                 versions |= vs
         assert versions == {0, 3}
-
-
-@requires_inproc
-class TestAggregateCarryingRestore:
-    def test_restore_skips_recount_when_aggregates_present(self, monkeypatch):
-        service = make_service()
-        put_versions(service, "x", [0, 1])
-        snap = service.snapshot(full=True)
-
-        def boom(self):
-            raise AssertionError("restore rescanned despite carried aggregates")
-
-        monkeypatch.setattr(SpatialIndex, "_recount", boom)
-        service.restore(snap)  # aggregate-carrying: no O(n) rescan
-        check = service.group.servers
-        assert sum(s.index.nbytes() for s in check) == sum(
-            s.store.nbytes for s in check
-        )
-
-    def test_legacy_aggregate_free_snapshot_still_recounts(self):
-        service = make_service()
-        put_versions(service, "x", [0])
-        snap = service.snapshot(full=True)
-        for s in snap["servers"]:
-            s["index"].pop("aggregates")
-            s["store"].pop("count")
-            s["store"].pop("versions")
-        service.restore(snap)
-        for srv in service.group.servers:
-            assert srv.index.nbytes() == srv.store.nbytes
-            assert srv.index._volumes == {
-                key: sum(e.desc.bbox.volume for e in es)
-                for key, es in srv.index._entries.items()
-            }
 
 
 class TestCoveredFastPaths:

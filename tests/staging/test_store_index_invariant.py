@@ -10,9 +10,13 @@ every operation (see the StagingServer docstring). Two past bugs broke it:
 * coordinated rollback restored the store but not the index, leaving stale
   entries for rolled-back versions.
 
-Hypothesis drives arbitrary sequences of put / evict / evict-older-than /
-keep-only-latest (the GC retention primitive) / snapshot / restore and
-checks the invariant at every step.
+Hypothesis drives arbitrary sequences of put / put-blob / evict /
+evict-older-than / keep-only-latest (the GC retention primitive) / snapshot /
+restore and checks the invariant at every step. The same walk journals every
+mutation and checks, at every step, that a fresh server (and a fresh
+``ProtectionIndex``) restored from the epoch base plus the sealed journals
+is indistinguishable from the live one — the incremental-checkpoint restore
+path, one journal epoch per operation.
 """
 
 import numpy as np
@@ -23,6 +27,7 @@ from hypothesis import strategies as st
 from repro.descriptors import ObjectDescriptor
 from repro.geometry import BBox
 from repro.staging import StagingServer
+from repro.staging.resilience import ProtectionIndex, PutRecord, record_id_for
 
 # Per-name dtype: "z" exercises zero-byte payloads (itemsize-0 void dtype).
 DTYPES = {"u": "float64", "z": "V0"}
@@ -47,6 +52,7 @@ boxes = st.sampled_from(BOXES)
 
 ops = st.one_of(
     st.tuples(st.just("put"), names, versions, boxes),
+    st.tuples(st.just("blob"), names, versions, st.sampled_from(["p0", "p1"])),
     st.tuples(st.just("evict"), names, versions),
     st.tuples(st.just("evict_older"), names, versions),
     st.tuples(st.just("keep_latest"), names),
@@ -106,28 +112,66 @@ def check_running_aggregates(srv: StagingServer) -> None:
     assert store._versions == store_versions
 
 
+def comparable(server_snap: dict) -> dict:
+    """A server snapshot with blob arrays reduced to bytes (== on ndarrays
+    is elementwise); everything else, aggregates included, compares as is."""
+    blobs = {
+        nv: {k: b.tobytes() for k, b in bucket.items()}
+        for nv, bucket in server_snap["blobs"].items()
+    }
+    return {**server_snap, "blobs": blobs}
+
+
+def check_journal_restore(srv, records, base, sealed) -> None:
+    """base + sealed journals, re-applied by fresh instances of the classes
+    that recorded them, reproduce the live state exactly."""
+    server_base, records_base = base
+    replica = StagingServer(1)
+    replica.restore(server_base, [s for s, _r in sealed])
+    assert comparable(replica.snapshot()) == comparable(srv.snapshot())
+    check_running_aggregates(replica)
+    assert replica.protection_nbytes == srv.protection_nbytes
+    replica_records = ProtectionIndex()
+    replica_records.restore(records_base, [r for _s, r in sealed])
+    assert replica_records.snapshot() == records.snapshot()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(ops, max_size=40))
 def test_store_and_index_stay_in_lockstep(op_list):
     srv = StagingServer(0)
-    saved = StagingServer.empty_snapshot()
+    records = ProtectionIndex()
+    srv.enable_journal()
+    records.enable_journal()
+    saved = base = (StagingServer.empty_snapshot(), ProtectionIndex().snapshot())
+    sealed = []  # one (server delta, records journal) epoch per op since base
     for op in op_list:
         kind = op[0]
         if kind == "put":
             _, name, version, box = op
             desc = ObjectDescriptor(name, version, box, dtype=DTYPES[name])
             srv.put(desc, payload(desc))
+            records.add(PutRecord(record_id_for(desc), desc, "replication", 0, 0, ()))
+        elif kind == "blob":
+            _, name, version, key = op
+            srv.put_blob(name, version, key, np.full(3, version, dtype=np.uint8))
         elif kind == "evict":
             srv.evict(op[1], op[2])
+            records.evict(op[1], op[2])
         elif kind == "evict_older":
             srv.evict_older_than_version(op[1], op[2])
+            records.evict_older_than(op[1], op[2])
         elif kind == "keep_latest":
             srv.keep_only_latest(op[1])
         elif kind == "snapshot":
-            saved = srv.snapshot()
+            saved = (srv.snapshot(), records.snapshot())
         elif kind == "restore":
-            srv.restore(saved)
+            srv.restore(saved[0])
+            records.restore(saved[1])
+            base, sealed = saved, []  # a restore restarts the journal epoch
+        sealed.append((srv.seal_delta(), records.seal_journal()))
         check_lockstep(srv)
+        check_journal_restore(srv, records, base, sealed)
 
 
 class TestZeroByteRegression:
@@ -161,15 +205,6 @@ class TestSnapshotRestore:
         d1 = ObjectDescriptor("x", 1, BBox((0,), (4,)))
         srv.put(d1, np.ones(4))
         srv.restore(snap)
-        assert srv.index.versions("x") == [0]
-        check_lockstep(srv)
-
-    def test_legacy_store_only_snapshot_rebuilds_index(self):
-        srv = StagingServer(0)
-        srv.put(ObjectDescriptor("x", 0, BBox((0,), (4,))), np.zeros(4))
-        store_only = srv.store.snapshot()
-        srv.put(ObjectDescriptor("x", 1, BBox((0,), (4,))), np.ones(4))
-        srv.restore(store_only)  # no "index" key: index must be rebuilt
         assert srv.index.versions("x") == [0]
         check_lockstep(srv)
 

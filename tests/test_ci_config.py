@@ -81,6 +81,10 @@ class TestWorkflowShape:
         assert "/dev/shm/repro-shm-" in runs
         # The tcp-only carry-over (RemoteServer.index) stays covered.
         assert "tests/runtime/test_rollback_index.py" in runs
+        # The coordinated scheme (the one runtime user of snapshot/restore)
+        # and the recovery differentials run over the wire too.
+        assert "tests/runtime/test_workflow_schemes.py" in runs
+        assert "tests/runtime/test_parallel_recovery.py" in runs
 
     def test_nightly_soak_is_schedule_gated_and_runs_both_transports(self, workflow):
         job = workflow["jobs"]["nightly-soak"]
