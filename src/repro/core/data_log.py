@@ -22,6 +22,12 @@ retried on later passes or on health recovery — only a confirmed fail-stop
 crashed server's memory dies with it. Treating a merely slow or flaky
 server like a crashed one would leak its fragments forever *and* leave the
 version fetchable there after GC reported it freed.
+
+Evictions are issued in batches (:meth:`DataLog.evict_many`, one per GC
+pass). On a wire transport every (version, server) request of the batch is
+in flight before the first reply is read, and each reply is then classified
+on its own exactly as above — a pass costs one round of wire latency, not
+one round trip per fragment owner per version.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ObjectNotFound, ServerUnavailable, TransientServerError
 from repro.obs import registry as _obs
-from repro.staging.client import StagingGroup
+from repro.staging.client import StagingClient, StagingGroup
 
 __all__ = ["DataLog", "LogRecord"]
 
@@ -108,6 +114,8 @@ class DataLog:
         # drains promptly (the drain itself always runs inside a GC pass,
         # under the GC's lock — never on the recovery notification thread).
         self.recovery_waker = None
+        # Issues and settles the evictions (see evict_many).
+        self._client = StagingClient(self.group, client_id="data-log")
         health = getattr(self.group, "health", None)
         if health is not None:
             health.on_recovered = self._on_server_recovered
@@ -214,12 +222,18 @@ class DataLog:
     # ---------------------------------------------------------------- evict
 
     def evict(self, name: str, version: int) -> int:
-        """Unpin (name, version) and drop its fragments from every server.
+        """Unpin one (name, version); see :meth:`evict_many`."""
+        return self.evict_many([(name, version)])
 
-        Returns bytes freed across the group. Raises ObjectNotFound when the
-        version was never logged (GC bookkeeping bug guard).
+    def evict_many(self, keys: list[tuple[str, int]]) -> int:
+        """Unpin every (name, version) in ``keys`` and drop their fragments
+        from every server.
 
-        Fault handling distinguishes failure modes per server:
+        Returns bytes freed across the group. Raises ObjectNotFound — before
+        touching anything — when a version was never logged (GC bookkeeping
+        bug guard).
+
+        Fault handling distinguishes failure modes per (server, version):
 
         * **fail-stop** (:class:`ServerUnavailable`) — the server's memory
           died with it; the fragments are written off (a rebuild starts from
@@ -232,47 +246,64 @@ class DataLog:
           leave the version readable on that server after GC reported it
           collected.
         """
-        rec = self.records.pop((name, version), None)
-        if rec is None:
-            raise ObjectNotFound(f"{name!r} v{version} not in data log")
-        versions = self._versions.get(name)
-        if versions:
-            i = bisect_left(versions, version)
-            if i < len(versions) and versions[i] == version:
-                del versions[i]
-            if not versions:
-                del self._versions[name]
-        self._total_bytes -= rec.nbytes
+        if not keys:
+            return 0
+        for key in keys:
+            if key not in self.records:
+                raise ObjectNotFound(f"{key[0]!r} v{key[1]} not in data log")
+        for name, version in keys:
+            rec = self.records.pop((name, version))
+            versions = self._versions.get(name)
+            if versions:
+                i = bisect_left(versions, version)
+                if i < len(versions) and versions[i] == version:
+                    del versions[i]
+                if not versions:
+                    del self._versions[name]
+            self._total_bytes -= rec.nbytes
+        health = getattr(self.group, "health", None)
+        # Version-major, server-minor: the order servers always saw.
+        work = [
+            (server.server_id, "evict", key)
+            for key in keys
+            for server in self.group.servers
+        ]
         freed = 0
-        for server in self.group.servers:
-            freed += self._evict_from_server(server, name, version)
-        self.group.records.evict(name, version)
-        _EVICTIONS.inc()
+        begun = self._begin_evictions(work)
+        try:
+            for call, pending in zip(work, begun):
+                sid, _op, key = call
+                try:
+                    freed += self._client.attempt(call, pending)
+                except ServerUnavailable:
+                    # Confirmed fail-stop: contents die with the server.
+                    if health is not None:
+                        health.mark_down(sid)
+                    _PENDING_WRITTEN_OFF.inc()
+                except TransientServerError:
+                    if health is not None:
+                        health.mark_failure(sid)
+                    queue = self._pending_evictions.setdefault(sid, {})
+                    if key not in queue:
+                        queue[key] = 0
+                        _PENDING_QUEUED.inc()
+                else:
+                    if health is not None:
+                        health.mark_success(sid)
+        finally:
+            StagingClient.abandon_all(begun)
+        for name, version in keys:
+            self.group.records.evict(name, version)
+            _EVICTIONS.inc()
         return freed
 
-    def _evict_from_server(self, server, name: str, version: int) -> int:
-        """Ask one server to drop (name, version); queue on transient failure."""
-        sid = server.server_id
-        health = getattr(self.group, "health", None)
-        try:
-            freed = server.evict(name, version)
-        except ServerUnavailable:
-            # Confirmed fail-stop: contents die with the server.
-            if health is not None:
-                health.mark_down(sid)
-            _PENDING_WRITTEN_OFF.inc()
-            return 0
-        except TransientServerError:
-            if health is not None:
-                health.mark_failure(sid)
-            pending = self._pending_evictions.setdefault(sid, {})
-            if (name, version) not in pending:
-                pending[(name, version)] = 0
-                _PENDING_QUEUED.inc()
-            return 0
-        if health is not None:
-            health.mark_success(sid)
-        return freed
+    def _begin_evictions(self, work: list[tuple[int, str, tuple]]) -> list:
+        """First attempts of ``work``'s evict calls: issued all at once over
+        a wire transport, ``None`` each where calls are direct."""
+        transport = getattr(self.group, "transport", None)
+        if transport is None or not transport.remote:
+            return [None] * len(work)
+        return self._client.begin_all(work)
 
     # ------------------------------------------------- pending-eviction queue
 
@@ -303,8 +334,7 @@ class DataLog:
             sids = [server_id] if server_id in self._pending_evictions else []
         else:
             sids = [sid for sid, q in self._pending_evictions.items() if q]
-        drained = 0
-        freed = 0
+        work: list[tuple[int, str, tuple]] = []
         for sid in sids:
             queue = self._pending_evictions.get(sid)
             if not queue:
@@ -313,20 +343,28 @@ class DataLog:
                 # Group shrank (test teardown); nothing to ask.
                 self._pending_evictions.pop(sid, None)
                 continue
-            server = self.group.servers[sid]
-            health = getattr(self.group, "health", None)
-            for key in list(queue):
-                name, version = key
+            work.extend((sid, "evict", key) for key in queue)
+        if not work:
+            return 0, 0
+        health = getattr(self.group, "health", None)
+        drained = 0
+        freed = 0
+        begun = self._begin_evictions(work)
+        try:
+            for call, pending in zip(work, begun):
+                sid, _op, key = call
+                queue = self._pending_evictions.get(sid)
+                if not queue:
+                    continue  # written off below, earlier in this drain
                 try:
-                    freed += server.evict(name, version)
+                    freed += self._client.attempt(call, pending)
                 except ServerUnavailable:
                     # Fail-stop confirmed: write the whole queue off.
                     if health is not None:
                         health.mark_down(sid)
-                    written_off = len(queue)
-                    queue.clear()
-                    _PENDING_WRITTEN_OFF.inc(written_off)
-                    break
+                    _PENDING_WRITTEN_OFF.inc(len(queue))
+                    del self._pending_evictions[sid]
+                    continue
                 except TransientServerError:
                     if health is not None:
                         health.mark_failure(sid)
@@ -338,8 +376,11 @@ class DataLog:
                 del queue[key]
                 drained += 1
                 _PENDING_DRAINED.inc()
-            if not queue:
-                self._pending_evictions.pop(sid, None)
+                if not queue:
+                    del self._pending_evictions[sid]
+        finally:
+            # Requests to a server written off mid-drain are never read.
+            StagingClient.abandon_all(begun)
         return drained, freed
 
     # -------------------------------------------------------------- metrics

@@ -224,31 +224,33 @@ class GarbageCollector:
 
     # ------------------------------------------------------------------ drain
 
-    def _drain_name(self, name: str, budget: int | None) -> tuple[int, int, bool]:
-        """Evict collectable versions of ``name`` up to ``budget``.
+    def _select_name(
+        self, name: str, budget: int | None, doomed: list[tuple[str, int]]
+    ) -> bool:
+        """Append ``name``'s collectable versions, oldest first and at most
+        ``budget`` of them, to ``doomed``.
 
-        Returns (versions, bytes, exhausted): ``exhausted`` is True when the
-        budget ran out with collectable versions still left (the caller
-        re-queues the name).
+        Returns True when the budget ran out with collectable versions still
+        left (the caller re-queues the name). Nothing is evicted here — a
+        pass selects across all its names first and evicts the lot in one
+        :meth:`DataLog.evict_many`.
         """
         versions = self.log.logged_versions(name)
         if len(versions) <= 1:
-            return 0, 0, False
+            return False
         pinned = self.replay_pinned()
         floor = self.version_floor(name)
-        collected = 0
-        freed = 0
+        limit = None if budget is None else len(doomed) + budget
         # versions[-1] (the latest) is always kept; the slice excludes it.
         for v in versions[:-1]:
             if floor is not None and v >= floor:
                 break  # sorted: every later version is above the floor too
             if (name, v) in pinned:
                 continue
-            if budget is not None and collected >= budget:
-                return collected, freed, True
-            freed += self.log.evict(name, v)
-            collected += 1
-        return collected, freed, False
+            if limit is not None and len(doomed) >= limit:
+                return True
+            doomed.append((name, v))
+        return False
 
     def _trim_queues(self, components) -> int:
         trimmed = 0
@@ -276,13 +278,12 @@ class GarbageCollector:
         t0 = perf_counter()
         with _trace.span("gc.collect"):
             drained, pending_freed = self.log.drain_pending_evictions()
-            versions = 0
-            freed = pending_freed
+            doomed: list[tuple[str, int]] = []
             for name in self.log.names():
-                n, b, _ = self._drain_name(name, None)
-                versions += n
-                freed += b
+                self._select_name(name, None, doomed)
                 self._candidate_set.discard(name)
+            versions = len(doomed)
+            freed = pending_freed + self.log.evict_many(doomed)
             # Full sweep covers everything: the candidate queue is satisfied.
             self._candidates = deque(
                 n for n in self._candidates if n in self._candidate_set
@@ -313,31 +314,30 @@ class GarbageCollector:
         total logged state. Candidates the budget could not cover stay on
         the queue (and are counted in ``candidates_deferred``), so repeated
         bounded passes converge to exactly what :meth:`collect` would do.
+        ``max_seconds`` stops the pass from taking up further candidates;
+        what it has selected by then is still evicted, as one batch.
         """
         t0 = perf_counter()
         deadline = t0 + max_seconds if max_seconds is not None else None
         with _trace.span("gc.collect_incremental"):
             drained, pending_freed = self.log.drain_pending_evictions()
-            versions = 0
-            freed = pending_freed
-            deferred = 0
+            doomed: list[tuple[str, int]] = []
             while self._candidates:
                 if deadline is not None and perf_counter() > deadline:
                     break
                 name = self._candidates.popleft()
-                budget = None if max_versions is None else max_versions - versions
+                budget = None if max_versions is None else max_versions - len(doomed)
                 if budget is not None and budget <= 0:
                     self._candidates.appendleft(name)
                     break
-                n, b, exhausted = self._drain_name(name, budget)
-                versions += n
-                freed += b
-                if exhausted:
+                if self._select_name(name, budget, doomed):
                     # Budget ran out mid-name: keep it queued (at the back,
                     # so other candidates are not starved).
                     self._candidates.append(name)
                     break
                 self._candidate_set.discard(name)
+            versions = len(doomed)
+            freed = pending_freed + self.log.evict_many(doomed)
             deferred = len(self._candidates)
             trimmed = self._trim_queues(list(self._trim_candidates))
             self._trim_candidates.clear()

@@ -247,11 +247,7 @@ class WorkflowStaging:
             if self.frontier_source is not None:
                 floor = self.frontier_source(desc.name)
             if floor is None:
-                for server in self.group.servers:
-                    try:
-                        server.keep_only_latest(desc.name)
-                    except (ServerUnavailable, TransientServerError):
-                        continue
+                self._retain("keep_only_latest", (desc.name,))
                 self._trim_records_latest(desc.name)
             else:
                 self.drop_consumed(desc.name, floor)
@@ -261,21 +257,30 @@ class WorkflowStaging:
         """Non-logged retention: evict versions every consumer has read.
 
         The latest version is always kept even when fully consumed, so the
-        stale-latest fallback keeps something to serve. Unreachable servers
-        are skipped — their memory cannot be reclaimed by asking nicely —
-        and protection records follow the same floor so degraded reads never
-        resurrect an evicted version.
+        stale-latest fallback keeps something to serve, and protection
+        records follow the same floor so degraded reads never resurrect an
+        evicted version.
         """
-        for server in self.group.servers:
-            latest = server.store.latest_version(name)
-            if latest is not None:
-                try:
-                    server.evict_older_than_version(name, min(floor, latest))
-                except (ServerUnavailable, TransientServerError):
-                    continue
+        self._retain("evict_consumed", (name, floor))
         rec_versions = self.group.records.versions(name)
         if rec_versions:
             self.group.records.evict_older_than(name, min(floor, rec_versions[-1]))
+
+    def _retain(self, op: str, args: tuple) -> None:
+        """Apply one retention op on every server — a single overlapped
+        round over the wire. Best effort, one attempt each: unreachable
+        servers are skipped, their memory cannot be reclaimed by asking
+        nicely."""
+        calls = [(server.server_id, op, args) for server in self.group.servers]
+        begun = self._client.begin_all(calls)
+        try:
+            for call, pending in zip(calls, begun):
+                try:
+                    self._client.attempt(call, pending)
+                except (ServerUnavailable, TransientServerError):
+                    continue
+        finally:
+            self._client.abandon_all(begun)
 
     def _trim_records_latest(self, name: str) -> None:
         """Latest-only retention for protection records (non-logged mode)."""

@@ -57,6 +57,7 @@ _FAULTED_OPS = (
     "query_versions",
     "evict",
     "evict_older_than_version",
+    "evict_consumed",
     "keep_only_latest",
 )
 # Reads whose results a `corrupt` fault may silently damage.
@@ -219,6 +220,9 @@ class FaultyServer:
 
     def evict_older_than_version(self, *a, **kw):
         return self._faulted_call("evict_older_than_version", *a, **kw)
+
+    def evict_consumed(self, *a, **kw):
+        return self._faulted_call("evict_consumed", *a, **kw)
 
     def keep_only_latest(self, *a, **kw):
         return self._faulted_call("keep_only_latest", *a, **kw)

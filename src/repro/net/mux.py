@@ -16,13 +16,20 @@ cost dominates small-payload round trips. The flusher re-checks the outbox
 after releasing the lock, so an iovec enqueued while a flush was in flight
 is never stranded.
 
+Two halves. :meth:`MuxConnection.submit` sends a frame and returns a
+:class:`PendingReply`; :meth:`PendingReply.wait` collects the payload later
+(``call`` is the two back to back). One thread may therefore hold many
+requests in flight — a scatter to N servers costs one round of latency, not
+N — and every handle ends in exactly one ``wait`` or ``abandon``, either of
+which drops its ``_pending`` entry and its share of the in-flight gauge.
+
 Failure semantics. A wire-level failure (reset, EOF, torn frame) fails
 *every* pending future with the underlying error — the stream position is
 unknowable, the connection is dead, and the endpoint dials a fresh one. A
 per-request **timeout** fails only its own future (``socket.timeout``, which
 the transport maps to ``TransientServerError``): the connection is still
 byte-aligned, and the late reply is discarded by id when it eventually
-arrives.
+arrives — as is the reply to an abandoned handle.
 
 Deadlines. :func:`deadline_scope` publishes an *absolute wall-clock*
 deadline (``time.time()`` seconds — both ends of every transport share the
@@ -52,7 +59,7 @@ from repro.net.frames import (
 )
 from repro.obs import registry as _obs
 
-__all__ = ["current_deadline", "deadline_scope", "MuxConnection"]
+__all__ = ["current_deadline", "deadline_scope", "MuxConnection", "PendingReply"]
 
 _REQUESTS = _obs.counter("net.mux.requests")
 _CONNECTIONS = _obs.counter("net.mux.connections")
@@ -101,6 +108,54 @@ class deadline_scope:
 # ----------------------------------------------------------- mux connection
 
 
+class PendingReply:
+    """The reply slot of one submitted request (see :meth:`MuxConnection.submit`)."""
+
+    __slots__ = ("_conn", "_future", "request_id")
+
+    def __init__(self, conn: "MuxConnection", request_id: int, future: Future) -> None:
+        self._conn: MuxConnection | None = conn
+        self._future = future
+        self.request_id = request_id
+
+    def wait(self, timeout: float):
+        """The reply payload (a writable bytearray).
+
+        Raises the connection's wire error if it is (or becomes) dead, or
+        ``socket.timeout`` if only *this* request ran out of time — the
+        connection survives a timeout and the stray reply is dropped by id.
+        """
+        try:
+            return self._future.result(timeout=timeout)
+        except _FutureTimeout:
+            _TIMEOUTS.inc()
+            raise socket.timeout(
+                f"mux request {self.request_id} timed out after {timeout:.3f}s"
+            ) from None
+        finally:
+            self.abandon()
+
+    def abandon(self) -> None:
+        """Stop waiting for the reply (idempotent; a no-op after ``wait``)."""
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            conn.forget(self.request_id)
+            self._future = None  # lets go of the payload, if it came
+
+    def answered(self, timeout: float) -> bool:
+        """Whether the server is done with this request — its reply (or the
+        connection's failure) is in, or nobody waits for it any more —
+        waiting up to ``timeout`` seconds for that. Consumes nothing."""
+        future = self._future
+        if future is None:
+            return True
+        try:
+            future.exception(timeout)
+        except _FutureTimeout:
+            return False
+        return True
+
+
 class MuxConnection:
     """Many caller threads sharing one socket via per-request futures."""
 
@@ -123,12 +178,9 @@ class MuxConnection:
 
     # ------------------------------------------------------------- requests
 
-    def call(self, parts: list, deadline: float = 0.0, timeout: float = 30.0):
-        """Send one frame, wait for its reply payload (a writable bytearray).
-
-        Raises the connection's wire error if it is (or becomes) dead, or
-        ``socket.timeout`` if only *this* request ran out of time — the
-        connection survives a timeout and the stray reply is dropped by id.
+    def submit(self, parts: list, deadline: float = 0.0) -> PendingReply:
+        """Send one frame now; its reply is collected with ``wait`` later.
+        Raises the connection's wire error if it is dead or the send fails.
         """
         request_id = next(self._ids)
         future: Future = Future()
@@ -138,23 +190,28 @@ class MuxConnection:
             self._pending[request_id] = future
         _REQUESTS.inc()
         _INFLIGHT.add(1)
+        reply = PendingReply(self, request_id, future)
         try:
             n = sum(len(p) for p in parts)
             head = frame_header_v2(n, request_id, deadline)
             vecs = [memoryview(head)]
             vecs += [memoryview(p).cast("B") for p in parts if len(p)]
             self._send(vecs)
-            try:
-                return future.result(timeout=timeout)
-            except _FutureTimeout:
-                _TIMEOUTS.inc()
-                raise socket.timeout(
-                    f"mux request {request_id} timed out after {timeout:.3f}s"
-                ) from None
-        finally:
-            _INFLIGHT.add(-1)
-            with self._pending_lock:
-                self._pending.pop(request_id, None)
+        except BaseException:
+            reply.abandon()
+            raise
+        return reply
+
+    def call(self, parts: list, deadline: float = 0.0, timeout: float = 30.0):
+        """Send one frame and wait for its reply payload (submit + wait)."""
+        return self.submit(parts, deadline).wait(timeout)
+
+    def forget(self, request_id: int) -> None:
+        """Drop a request's reply slot (its handle was waited or abandoned);
+        a reply that still arrives is discarded by id."""
+        _INFLIGHT.add(-1)
+        with self._pending_lock:
+            self._pending.pop(request_id, None)
 
     @property
     def pending_count(self) -> int:
@@ -213,7 +270,8 @@ class MuxConnection:
                         future = self._pending.pop(frame.request_id, None)
                     if future is not None:
                         future.set_result(frame.payload)
-                    # else: the caller timed out and moved on; drop the reply.
+                    # else: the caller timed out or abandoned the handle;
+                    # drop the reply.
         except (OSError, WireError) as exc:
             self._fail(exc)
 

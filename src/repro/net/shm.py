@@ -53,6 +53,7 @@ import struct
 import threading
 import weakref
 from collections import deque
+from functools import partial
 from multiprocessing import shared_memory
 
 try:  # CPython's POSIX shared-memory primitive (Linux/macOS)
@@ -738,8 +739,8 @@ class ServerSegments:
 class _ShmEndpoint(_Endpoint):
     """TCP doorbell endpoint with a per-endpoint segment pool."""
 
-    def __init__(self, server_id: int, process, port: int) -> None:
-        super().__init__(server_id, process, port)
+    def __init__(self, server_id: int, process, port: int, queue_depth: int) -> None:
+        super().__init__(server_id, process, port, queue_depth)
         self.pool = SegmentPool()
 
     def _grant_for(self, slab: _Slab | None):
@@ -747,9 +748,18 @@ class _ShmEndpoint(_Endpoint):
             return None
         return ("grant", slab.name, slab.generation, slab.capacity)
 
-    def request(self, op: str, args: tuple):
+    def _return_slabs(self, slabs: list, clean: bool) -> None:
+        """Slab disposition once their request is settled. A decoded reply
+        — ok *or* typed staging error — means the server finished the op
+        and is done with the slabs: recycle. A wire failure or an abandoned
+        call means its fate (and any in-flight write into the grant) is
+        unknowable: retire, never recycle."""
+        for slab in slabs:
+            (self.pool.release if clean else self.pool.retire)(slab)
+
+    def request(self, op: str, args: tuple, *, pending: bool = False):
         if op.startswith("admin:"):
-            return super().request(op, args)
+            return super().request(op, args, pending=pending)
         pool = self.pool
         req_slab = resp_slab = None
         sink = None
@@ -768,26 +778,26 @@ class _ShmEndpoint(_Endpoint):
                 if resp_slab is not None:
                     _GRANT_BYTES.inc(expected)
         if sink is None and grant is None:
-            return super().request(op, args)
-        clean = False
+            return super().request(op, args, pending=pending)
+        slabs = [slab for slab in (req_slab, resp_slab) if slab is not None]
         try:
             parts = encode_request_iov(op, args, grant=grant, array_sink=sink)
-            if sink is not None:
-                _OOB_BYTES.inc(sink.placed_bytes)
-            resolver = _ResponseResolver(pool, resp_slab)
-            msg = self._round_trip(parts, array_source=resolver)
-            # A decoded reply — ok *or* typed staging error — means the
-            # server finished the op and is done with the slabs. A wire
-            # failure means its fate (and any in-flight write into the
-            # grant) is unknowable: retire, never recycle.
-            clean = True
-            return self._unpack_response(msg)
-        finally:
-            for slab in (req_slab, resp_slab):
-                if slab is not None:
-                    (pool.release if clean else pool.retire)(slab)
+        except BaseException:
+            self._return_slabs(slabs, False)
+            raise
+        if sink is not None:
+            _OOB_BYTES.inc(sink.placed_bytes)
+        # The slabs ride the call: whoever settles it returns them.
+        call = self._begin(
+            parts,
+            self._unpack_response,
+            array_source=_ResponseResolver(pool, resp_slab),
+            on_settled=partial(self._return_slabs, slabs),
+            windowed=pending,
+        )
+        return call if pending else call.result()
 
-    def request_batch(self, requests):
+    def request_batch(self, requests, *, pending: bool = False):
         pool = self.pool
         # Segments only when every op in the batch consumes its payload
         # before replying (see SHM_REQUEST_OPS); mixed batches with ops
@@ -802,18 +812,22 @@ class _ShmEndpoint(_Endpoint):
                 if req_slab is not None:
                     sink = _SegmentWriter(req_slab)
         if sink is None:
-            return super().request_batch(requests)
-        clean = False
+            return super().request_batch(requests, pending=pending)
         try:
             parts = encode_batch_iov(
                 [("req", op, args) for op, args in requests], array_sink=sink
             )
-            _OOB_BYTES.inc(sink.placed_bytes)
-            msg = self._round_trip(parts)
-            clean = True
-            return self._unpack_batch(msg)
-        finally:
-            (pool.release if clean else pool.retire)(req_slab)
+        except BaseException:
+            self._return_slabs([req_slab], False)
+            raise
+        _OOB_BYTES.inc(sink.placed_bytes)
+        call = self._begin(
+            parts,
+            self._unpack_batch,
+            on_settled=partial(self._return_slabs, [req_slab]),
+            windowed=pending,
+        )
+        return call if pending else call.result()
 
     def close(self, *, shutdown_op: bool = True) -> None:
         super().close(shutdown_op=shutdown_op)
@@ -831,7 +845,9 @@ class ShmTransport(TcpTransport):
     name = "shm"
 
     def _make_endpoint(self, server_id: int, process, port: int) -> _ShmEndpoint:
-        return _ShmEndpoint(server_id, process, port)
+        return _ShmEndpoint(
+            server_id, process, port, self._server_config["queue_depth"]
+        )
 
     def segment_names(self) -> list[str]:
         """Names of every live segment across this transport's pools."""

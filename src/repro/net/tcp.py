@@ -40,6 +40,16 @@ ids, replies demuxed by a reader thread, the calling thread's
 :func:`~repro.net.mux.deadline_scope` deadline stamped into every header. A
 *timeout* fails only its own request; any other wire failure retires the
 connection for everyone sharing it, and the next request dials a fresh one.
+
+Every frame is issued by :meth:`_Endpoint.request` / ``request_batch`` and
+exists as a :class:`_PendingCall` until its reply is consumed. The
+synchronous form settles the call at once; ``pending=True`` hands it back
+unsettled, which is how :meth:`RemoteServer.begin` lets one caller thread
+keep a request in flight on every server of a group
+(``StagingClient.fan_out``). An overlapped frame is held back client-side
+while its thread already has ``queue_depth`` overlapped requests unanswered
+on the endpoint — the server's own admission bound — so one caller's burst
+waits instead of being shed.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ import socket
 import sys
 import threading
 import weakref
+from collections import deque
 from functools import partial
 from time import perf_counter, time
 
@@ -130,13 +141,80 @@ def _map_wire_error(exc: BaseException, server_id: int):
     return ServerUnavailable(server_id, f"tcp failure: {type(exc).__name__}: {exc}")
 
 
+class _PendingCall:
+    """One issued frame whose reply has not been consumed yet.
+
+    ``result()`` waits for the reply, decodes it and unpacks it **on the
+    calling thread** — what the synchronous call would have returned or
+    raised, a failure to send included (it is kept here, not raised by the
+    begin half, so callers handle every outcome in one place). Each call is
+    settled exactly once, by ``result()`` or ``abandon()``; ``on_settled``
+    (the shm endpoint's slab disposition) then runs with whether a decoded
+    reply — success or typed error — came back.
+    """
+
+    __slots__ = (
+        "_endpoint",
+        "_unpack",
+        "_on_settled",
+        "array_source",
+        "conn",
+        "reply",
+        "error",
+        "give_up",
+        "sent",
+        "t0",
+    )
+
+    def __init__(self, endpoint: "_Endpoint", unpack, array_source, on_settled) -> None:
+        self._endpoint: _Endpoint | None = endpoint
+        self._unpack = unpack
+        self._on_settled = on_settled
+        self.array_source = array_source
+        self.conn: MuxConnection | None = None
+        self.reply = None
+        self.error: BaseException | None = None
+        self.give_up = 0.0
+        self.sent = 0
+        self.t0 = perf_counter()
+
+    def result(self):
+        endpoint, self._endpoint = self._endpoint, None
+        if endpoint is None:
+            raise RuntimeError("pending call already settled")
+        clean = False
+        try:
+            msg = endpoint.receive(self)
+            clean = True
+            return self._unpack(msg)
+        finally:
+            if self._on_settled is not None:
+                self._on_settled(clean)
+
+    def abandon(self) -> None:
+        """Give up on the reply (idempotent; a no-op once settled). The
+        late reply is dropped by id and never decoded, so whatever the
+        request lent the server is treated as still in its hands."""
+        endpoint, self._endpoint = self._endpoint, None
+        if endpoint is None:
+            return
+        if self.reply is not None:
+            self.reply.abandon()
+        if self._on_settled is not None:
+            self._on_settled(False)
+
+
 class _Endpoint:
     """One server process + the one shared connection to it."""
 
-    def __init__(self, server_id: int, process, port: int) -> None:
+    def __init__(self, server_id: int, process, port: int, queue_depth: int) -> None:
         self.server_id = server_id
         self.process = process
         self.port = port
+        # The server's admission depth, and per calling thread the replies
+        # its overlapped requests still wait for (see ``_await_window``).
+        self.queue_depth = queue_depth
+        self._unanswered = threading.local()
         self._lock = threading.Lock()
         self._closed = False
         # Shared by every caller thread; dialled on first use and again
@@ -183,46 +261,106 @@ class _Endpoint:
 
     # ------------------------------------------------------------- requests
 
-    def _round_trip(self, parts: list, array_source=None) -> tuple:
-        """Send one iovec frame, receive and decode the reply.
+    def _wire_failure(self, call: _PendingCall, exc: BaseException):
+        """Map a send/receive failure; a timeout keeps the connection (only
+        this request is abandoned), anything else retires it for everyone."""
+        if call.conn is not None and not isinstance(exc, (socket.timeout, TimeoutError)):
+            self._retire(call.conn)
+        return _map_wire_error(exc, self.server_id)
+
+    def _await_window(self, timeout: float) -> deque:
+        """Client-side admission control for overlapped requests.
+
+        A synchronous caller has one request in flight; a thread that begins
+        requests without settling them could have any number, and past the
+        server's ``queue_depth`` they would be shed (``ServerBusy``) rather
+        than served. So each thread's overlapped burst is held to that depth:
+        before the next frame goes out, wait until fewer than ``queue_depth``
+        of this thread's earlier ones are still unanswered. Replies land in
+        their futures without anyone settling them, so the wait cannot
+        deadlock on the caller's own begin-all-then-settle order. Load from
+        *other* threads stays the server's to admit or shed, as before.
+        Returns the thread's list, for the new request to be added to.
+        """
+        try:
+            mine = self._unanswered.replies
+        except AttributeError:
+            mine = self._unanswered.replies = deque()
+        if len(mine) >= self.queue_depth:
+            give_up = perf_counter() + timeout
+            for _ in range(len(mine)):  # drop the answered, keep the order
+                reply = mine.popleft()
+                if not reply.answered(0):
+                    mine.append(reply)
+            while len(mine) >= self.queue_depth:
+                if not mine[0].answered(give_up - perf_counter()):
+                    raise socket.timeout(
+                        f"{len(mine)} requests unanswered after {timeout:.3f}s"
+                    )
+                mine.popleft()
+        return mine
+
+    def _begin(
+        self, parts: list, unpack, *, array_source=None, on_settled=None, windowed=False
+    ) -> _PendingCall:
+        """Send one iovec frame; the returned call's ``result()`` receives,
+        decodes and unpacks the reply.
+
+        The calling thread's :func:`~repro.net.mux.deadline_scope` deadline
+        is stamped into the header and bounds the wait for the reply,
+        counted from *now* — requests begun together share one budget
+        however late each is settled. ``windowed`` frames first wait for a
+        send window below the server's queue depth.
+        """
+        call = _PendingCall(self, unpack, array_source, on_settled)
+        deadline = current_deadline()
+        timeout = REQUEST_TIMEOUT
+        if deadline:
+            timeout = max(0.05, min(timeout, deadline - time()))
+        call.give_up = call.t0 + timeout
+        call.sent = sum(len(p) for p in parts)
+        try:
+            if windowed:
+                mine = self._await_window(timeout)
+            call.conn = self._connection()
+            call.reply = call.conn.submit(parts, deadline=deadline)
+            if windowed:
+                mine.append(call.reply)
+        except ServerUnavailable as exc:  # transport closed
+            call.error = exc
+        except (OSError, WireError) as exc:
+            call.error = self._wire_failure(call, exc)
+            call.error.__cause__ = exc
+        return call
+
+    def receive(self, call: _PendingCall) -> tuple:
+        """Wait for ``call``'s reply and decode it.
 
         Raises only *wire-mapped* staging errors; a decoded reply — success
-        or a typed ``("err", ...)`` — is returned as-is, so subclasses can
+        or a typed ``("err", ...)`` — is returned as-is, so the caller can
         distinguish "the server answered" (segment safely recyclable) from
         "the wire failed" (segment state unknowable) before unpacking.
         Replies decode with ``copy_arrays=False``: arrays are views over the
         private, writable reply buffer (or, via ``array_source``, over a
         granted shared segment) — every consumer either copies into its own
         destination or may treat the buffer as owned. The reply payload is
-        decoded *here*, on the caller's thread — never in the reader —
+        decoded *here*, on the awaiting thread — never in the reader —
         because decoding may resolve SegRefs through a per-request
-        ``array_source``. A timeout keeps the connection (only this request
-        is abandoned; its late reply is dropped by id); every other wire
-        failure retires the shared connection.
+        ``array_source``.
         """
-        t0 = perf_counter()
-        deadline = current_deadline()
-        timeout = REQUEST_TIMEOUT
-        if deadline:
-            timeout = max(0.05, min(timeout, deadline - time()))
-        conn = None
-        sent = sum(len(p) for p in parts)
+        if call.error is not None:
+            raise call.error
         try:
-            conn = self._connection()
-            reply = conn.call(parts, deadline=deadline, timeout=timeout)
+            reply = call.reply.wait(max(0.0, call.give_up - perf_counter()))
+            msg = decode_message(
+                reply, array_source=call.array_source, copy_arrays=False
+            )
         except (OSError, WireError) as exc:
-            if conn is not None and not isinstance(exc, (socket.timeout, TimeoutError)):
-                self._retire(conn)
-            raise _map_wire_error(exc, self.server_id) from exc
-        try:
-            msg = decode_message(reply, array_source=array_source, copy_arrays=False)
-        except WireError as exc:
-            self._retire(conn)
-            raise _map_wire_error(exc, self.server_id) from exc
+            raise self._wire_failure(call, exc) from exc
         _REQUESTS.inc()
-        _BYTES_SENT.inc(sent + 20)
+        _BYTES_SENT.inc(call.sent + 20)
         _BYTES_RECEIVED.inc(len(reply) + 20)
-        _REQ_SECONDS.record(perf_counter() - t0)
+        _REQ_SECONDS.record(perf_counter() - call.t0)
         return msg
 
     def _unpack_response(self, msg: tuple):
@@ -234,11 +372,17 @@ class _Endpoint:
             WireClosed(f"unexpected reply tag {msg[0]!r}"), self.server_id
         )
 
-    def request(self, op: str, args: tuple):
-        return self._unpack_response(self._round_trip(encode_request_iov(op, args)))
+    def request(self, op: str, args: tuple, *, pending: bool = False):
+        """One op, one frame. ``pending=True`` returns the issued
+        :class:`_PendingCall` instead of settling it."""
+        call = self._begin(
+            encode_request_iov(op, args), self._unpack_response, windowed=pending
+        )
+        return call if pending else call.result()
 
-    def request_batch(self, requests: list[tuple[str, tuple]]) -> list:
-        """Pipeline N ops in one frame; returns per-op values in order.
+    def request_batch(self, requests: list[tuple[str, tuple]], *, pending: bool = False):
+        """Pipeline N ops in one frame; returns per-op values in order (or,
+        with ``pending=True``, the issued call that will).
 
         The first failed op's error is raised (after the whole batch ran
         server-side — batches are not transactions, matching the semantics
@@ -246,7 +390,8 @@ class _Endpoint:
         """
         _BATCH_SIZE.record(len(requests))
         parts = encode_batch_iov([("req", op, args) for op, args in requests])
-        return self._unpack_batch(self._round_trip(parts))
+        call = self._begin(parts, self._unpack_batch, windowed=pending)
+        return call if pending else call.result()
 
     def _unpack_batch(self, msg: tuple) -> list:
         if msg[0] != "batch_ok":
@@ -374,6 +519,12 @@ class RemoteServer:
 
     def ping(self) -> bool:
         return self._endpoint.request("admin:ping", ()) == "pong"
+
+    def begin(self, op: str, args: tuple) -> _PendingCall:
+        """Issue ``op`` without waiting for it: the returned call's
+        ``result()`` returns or raises what ``getattr(self, op)(*args)``
+        would have. Every call must be settled (``result`` or ``abandon``)."""
+        return self._endpoint.request(op, args, pending=True)
 
     def pipeline(self, requests: list[tuple[str, tuple]]) -> list:
         """Run N ops in one round trip (see ``_Endpoint.request_batch``)."""
@@ -515,7 +666,7 @@ class TcpTransport(Transport):
 
     def _make_endpoint(self, server_id: int, process, port: int) -> _Endpoint:
         """Endpoint factory — the shm transport swaps in its segment-pool variant."""
-        return _Endpoint(server_id, process, port)
+        return _Endpoint(server_id, process, port, self._server_config["queue_depth"])
 
     # ------------------------------------------------------------- Transport
 

@@ -107,6 +107,7 @@ SERVER_OPS = frozenset(
         "query_versions",
         "evict",
         "evict_older_than_version",
+        "evict_consumed",
         "keep_only_latest",
         "snapshot",
         "restore",

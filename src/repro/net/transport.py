@@ -38,9 +38,10 @@ class Transport(ABC):
     #: Short name used in env/config and in ``net.*`` metric labels.
     name: str = "abstract"
 
-    #: True when calls cross a process boundary (tcp, shm). The client uses
-    #: this to pick fan-out thresholds: remote round trips are worth
-    #: parallelising at much smaller payloads than in-process calls.
+    #: True when calls cross a process boundary (tcp, shm). Such a
+    #: transport's handles have a begin half (``RemoteServer.begin``), and
+    #: the client overlaps a logical op's requests on the wire instead of
+    #: making its calls one after another.
     remote: bool = False
 
     @abstractmethod

@@ -5,12 +5,19 @@
 gathers and assembles it. The paper's logging interface in
 :mod:`repro.core.interface` layers the event queue on top of this.
 
-Shard I/O fans out across servers through a process-wide thread pool: each
-task serves all of one request's shards for one server, serialized only by
-that server's lock, so requests touching different servers proceed in
-parallel (put copies and get assembly release the GIL inside NumPy). The
-fan-out is gated on payload size — for small shards the submit overhead
-exceeds the copy, so those stay on the caller's thread.
+How a request reaches several servers depends on the transport:
+
+* **wire transports** (tcp, shm) — :meth:`StagingClient.fan_out` issues the
+  request to every target server first (``RemoteServer.begin``) and only
+  then collects the replies, each under that server's retry/health policy.
+  A logical op costs one round of wire latency however many servers it
+  touches, at every payload size, on the caller's own thread.
+* **inproc** — calls are plain method calls with nothing to overlap. Shard
+  I/O fans out through a process-wide thread pool instead: each task serves
+  all of one request's shards for one server, serialized only by that
+  server's lock (put copies and get assembly release the GIL inside NumPy).
+  The pool is gated on payload size — for small shards the submit overhead
+  exceeds the copy, so those stay on the caller's thread.
 """
 
 from __future__ import annotations
@@ -20,12 +27,18 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 
 import numpy as np
 
 from repro.descriptors.odsc import ObjectDescriptor
-from repro.errors import ObjectNotFound, ServerUnavailable, TransientServerError
+from repro.errors import (
+    ObjectNotFound,
+    ServerUnavailable,
+    StagingError,
+    TransientServerError,
+)
 from repro.geometry.bbox import BBox
 from repro.geometry.domain import Domain
 from repro.net.mux import deadline_scope
@@ -56,13 +69,12 @@ _RETRIES = _obs.counter("staging.client.retries")
 _BACKOFF_SECONDS = _obs.histogram("staging.client.backoff.seconds")
 _DEADLINE_EXCEEDED = _obs.counter("staging.client.deadline_exceeded")
 
-# Fan out to the pool only when a request's payload is at least this large;
-# below it, pool submit/wake latency exceeds the shard memcpy.
+# Fan out to the pool (inproc only) when a request's payload is at least this
+# large; below it, pool submit/wake latency exceeds the shard memcpy.
 PARALLEL_THRESHOLD_BYTES = 256 * 1024
-# Remote transports (tcp, shm) cross a process boundary per server call, so
-# overlapping round trips pays off at much smaller payloads than overlapping
-# in-process memcpys does.
-REMOTE_PARALLEL_THRESHOLD_BYTES = 64 * 1024
+
+# fan_out's default for ``unreachable``: raise instead of substituting.
+_RAISE = object()
 
 _pool_lock = threading.Lock()
 _pool: ThreadPoolExecutor | None = None
@@ -93,7 +105,8 @@ class StagingGroup:
     This is the process-group-level object a workflow creates once and hands
     to every component's client. ``parallel=False`` pins every request to
     the caller's thread (the seed's serial data path — kept as the
-    measurable baseline and for single-core runs).
+    measurable baseline and for single-core runs). The flag only concerns
+    the inproc shard pool; wire transports always overlap on the wire.
     """
 
     domain: Domain
@@ -161,11 +174,6 @@ class StagingGroup:
             servers=servers,
             placement=placement,
             parallel=parallel,
-            parallel_threshold=(
-                REMOTE_PARALLEL_THRESHOLD_BYTES
-                if transport_obj.remote
-                else PARALLEL_THRESHOLD_BYTES
-            ),
             protection=protection,
             retry=retry if retry is not None else RetryPolicy(),
             health=GroupHealth(num_servers, down_after=down_after),
@@ -241,14 +249,14 @@ class StagingClient:
         return by_server
 
     def _use_pool(self, by_server: dict[int, list[BBox]], nbytes: int) -> bool:
-        """Whether to fan this request out across the shard-I/O pool."""
+        """Whether to fan this (inproc) request out across the shard-I/O pool."""
         return (
             self.group.parallel
             and nbytes >= self.group.parallel_threshold
             and len(by_server) >= 2
         )
 
-    def _server_op(self, server_id: int, fn):
+    def _server_op(self, server_id: int, fn, first=None):
         """Run one server call under the group's retry/health policy.
 
         Transient errors retry with capped exponential backoff + jitter
@@ -258,6 +266,10 @@ class StagingClient:
         retry can help a crashed server. ``ObjectNotFound`` is a *healthy*
         response (the server answered; the data is absent) and propagates
         untouched, preserving blocking-get wait semantics upstream.
+
+        ``first`` is an already-issued first attempt (see :meth:`begin_all`):
+        attempt 1 collects its reply instead of calling ``fn``; a retry
+        re-issues through ``fn``, synchronously.
         """
         policy = self.group.retry
         health = self.group.health
@@ -270,8 +282,12 @@ class StagingClient:
         attempt = 1
         while True:
             try:
-                with deadline_scope(wall_deadline):
-                    result = fn()
+                if first is not None:
+                    pending, first = first, None
+                    result = pending.result()
+                else:
+                    with deadline_scope(wall_deadline):
+                        result = fn()
             except ServerUnavailable:
                 health.mark_down(server_id)
                 raise
@@ -294,6 +310,90 @@ class StagingClient:
                 health.mark_success(server_id)
                 return result
 
+    # -------------------------------------------------------------- fan-out
+
+    def begin_all(self, calls: list[tuple[int, str, tuple]]) -> list:
+        """Issue the first attempt of every ``(server_id, op, args)`` call.
+
+        On a wire transport all of them leave inside one ``deadline_scope``
+        (one shared budget, stamped into every frame) and the result holds
+        one pending call per entry; whoever takes them must settle each one
+        (``result()`` or ``abandon()``). Inproc servers have no begin half:
+        the result is all ``None`` and the caller makes the call itself.
+        """
+        if not self.group.transport.remote:
+            return [None] * len(calls)
+        servers = self.group.servers
+        pending: list = []
+        try:
+            with deadline_scope(time.time() + self.group.retry.deadline):
+                for server_id, op, args in calls:
+                    pending.append(servers[server_id].begin(op, args))
+        except BaseException:
+            self.abandon_all(pending)
+            raise
+        return pending
+
+    def attempt(self, call: tuple[int, str, tuple], pending):
+        """One attempt at ``call``, outside any retry or health policy: the
+        reply to the request :meth:`begin_all` issued for it or, where there
+        was none to issue (inproc), the call itself."""
+        if pending is not None:
+            return pending.result()
+        server_id, op, args = call
+        return getattr(self.group.servers[server_id], op)(*args)
+
+    @staticmethod
+    def abandon_all(pending: list) -> None:
+        """Give up on whichever of ``pending`` (from :meth:`begin_all`) are
+        still unsettled — the ``finally`` of every loop that settles them."""
+        for call in pending:
+            if call is not None:
+                call.abandon()
+
+    def fan_out(self, calls: list[tuple[int, str, tuple]], unreachable=_RAISE) -> list:
+        """One logical op across servers: the values of ``(server_id, op,
+        args)`` calls, in call order.
+
+        Over the wire every call is in flight before the first reply is
+        awaited (:meth:`begin_all`); each is then settled inside its own
+        server's :meth:`_server_op` loop, so retries, mark-down and the
+        healthy ``ObjectNotFound`` behave exactly as for a lone call — only
+        the waiting overlaps. **Every** reply is consumed before anything is
+        raised: no request is left in flight (nor, under shm, any slab
+        leased) while the caller unwinds.
+
+        Pass ``unreachable=value`` to get ``value`` in the slot of a server
+        that stayed unreachable (``ServerUnavailable``, or
+        ``TransientServerError`` once its retries ran out). Without it those
+        count as errors, and the first error in call order is raised.
+        """
+        servers = self.group.servers
+        pending = self.begin_all(calls)
+        values: list = []
+        error: StagingError | None = None
+        try:
+            for (server_id, op, args), first in zip(calls, pending):
+                try:
+                    value = self._server_op(
+                        server_id, partial(getattr(servers[server_id], op), *args), first
+                    )
+                except (ServerUnavailable, TransientServerError) as exc:
+                    if unreachable is _RAISE:
+                        error = error or exc
+                    value = unreachable
+                except StagingError as exc:
+                    error = error or exc
+                    value = None
+                values.append(value)
+        finally:
+            # A no-op unless something other than a staging error escaped
+            # (an interrupt, a bug) and left calls unsettled.
+            self.abandon_all(pending)
+        if error is not None:
+            raise error
+        return values
+
     # ------------------------------------------------------------------ put
 
     def put(self, desc: ObjectDescriptor, data: np.ndarray) -> int:
@@ -307,11 +407,14 @@ class StagingClient:
         by_server = self._by_server(shards)
         if self.group.protection is not None:
             protected_put(self, desc, data, by_server)
-            _PUT_COUNT.inc()
-            _PUT_FANOUT.record(len(shards))
-            _PUT_SECONDS.record(perf_counter() - t0)
-            return len(shards)
-        if not self._use_pool(by_server, int(data.nbytes)):
+        elif self.group.transport.remote:
+            self.fan_out(
+                [
+                    (server_id, "put_many", (self._shards_of(boxes, desc, data),))
+                    for server_id, boxes in by_server.items()
+                ]
+            )
+        elif not self._use_pool(by_server, int(data.nbytes)):
             for server_id, boxes in by_server.items():
                 self._scatter_to(server_id, boxes, desc, data)
         else:
@@ -329,10 +432,14 @@ class StagingClient:
         _PUT_SECONDS.record(perf_counter() - t0)
         return len(shards)
 
+    @staticmethod
+    def _shards_of(boxes: list[BBox], desc: ObjectDescriptor, data: np.ndarray) -> list:
+        return [(desc.with_bbox(sub), data[sub.slices(desc.bbox)]) for sub in boxes]
+
     def _scatter_to(
         self, server_id: int, boxes: list[BBox], desc: ObjectDescriptor, data: np.ndarray
     ) -> None:
-        shards = [(desc.with_bbox(sub), data[sub.slices(desc.bbox)]) for sub in boxes]
+        shards = self._shards_of(boxes, desc, data)
         self._server_op(
             server_id, lambda: self.group.servers[server_id].put_many(shards)
         )
@@ -349,10 +456,17 @@ class StagingClient:
         by_server = self._by_server(shards)
         if self.group.protection is not None:
             self._protected_get(desc, out)
-            _GET_COUNT.inc()
-            _GET_SECONDS.record(perf_counter() - t0)
-            return out
-        if not self._use_pool(by_server, int(out.nbytes)):
+        elif self.group.transport.remote:
+            gathered = self.fan_out(
+                [
+                    (server_id, "get_many", ([desc.with_bbox(sub) for sub in boxes],))
+                    for server_id, boxes in by_server.items()
+                ]
+            )
+            for boxes, parts in zip(by_server.values(), gathered):
+                for sub, part in zip(boxes, parts):
+                    out[sub.slices(desc.bbox)] = part
+        elif not self._use_pool(by_server, int(out.nbytes)):
             for server_id, boxes in by_server.items():
                 self._gather_from(server_id, boxes, desc, out)
         else:
@@ -443,7 +557,9 @@ class StagingClient:
 
         A crashed or persistently failing server makes its regions
         non-covering (rather than raising), unless a protection record can
-        still reconstruct them from survivors.
+        still reconstruct them from survivors. A server the health state
+        already has down is never probed: only a rebuild brings it back, not
+        a coverage probe that happens to be answered.
         """
         shards = self.group.placement.shards(desc.bbox)
         if not shards:
@@ -458,21 +574,27 @@ class StagingClient:
                 ]
                 if not remaining:
                     return True
+        probes: list[tuple[int, str, tuple]] = []
         for region in remaining:
             sub_desc = desc.with_bbox(region)
             for server_id, boxes in self._by_server(
                 self.group.placement.shards(region)
             ).items():
-                server = self.group.servers[server_id]
+                if self.group.health.is_down(server_id):
+                    return False
                 descs = [sub_desc.with_bbox(sub) for sub in boxes]
-                try:
-                    ok = self._server_op(
-                        server_id, lambda s=server, d=descs: s.covers_all(d)
-                    )
-                except (ServerUnavailable, TransientServerError):
-                    return False
-                if not ok:
-                    return False
+                probes.append((server_id, "covers_all", (descs,)))
+        if self.group.transport.remote:
+            return all(self.fan_out(probes, unreachable=False))
+        # Inproc: nothing to overlap, so stop at the first "no".
+        for server_id, _op, (descs,) in probes:
+            server = self.group.servers[server_id]
+            try:
+                ok = self._server_op(server_id, partial(server.covers_all, descs))
+            except (ServerUnavailable, TransientServerError):
+                return False
+            if not ok:
+                return False
         return True
 
     def latest_version(self, name: str) -> int | None:
@@ -483,15 +605,12 @@ class StagingClient:
         a server (they are still readable via degraded reads).
         """
         latest: int | None = None
-        for server in self.group.servers:
-            if self.group.health.is_down(server.server_id):
-                continue
-            try:
-                versions = self._server_op(
-                    server.server_id, lambda s=server: s.query_versions(name)
-                )
-            except (ServerUnavailable, TransientServerError):
-                continue
+        queries = [
+            (server.server_id, "query_versions", (name,))
+            for server in self.group.servers
+            if not self.group.health.is_down(server.server_id)
+        ]
+        for versions in self.fan_out(queries, unreachable=None):
             if versions and (latest is None or versions[-1] > latest):
                 latest = versions[-1]
         if self.group.protection is not None:

@@ -276,6 +276,16 @@ class StagingServer:
                     freed += self.evict(name, v)
             return freed
 
+    def evict_consumed(self, name: str, floor: int) -> int:
+        """Non-logged retention: drop versions of ``name`` strictly below
+        ``floor`` — except the newest, which is kept even when consumed so a
+        stale-latest read still has something to serve. Returns bytes."""
+        with self.lock:
+            latest = self.store.latest_version(name)
+            if latest is None:
+                return 0
+            return self.evict_older_than_version(name, min(floor, latest))
+
     def keep_only_latest(self, name: str) -> int:
         """Original-DataSpaces retention: keep only the newest version.
 

@@ -6,7 +6,10 @@ payload shapes and thread interleavings, with completions arriving out of
 order (a slow-faulted request must not delay its neighbours). Plus the
 regression matrix for the new typed errors: DeadlineExceeded for requests
 that expire before the server runs them, ServerBusy when the bounded
-in-flight queue sheds, and drain-before-close on ``admin:shutdown``.
+in-flight queue sheds, and drain-before-close on ``admin:shutdown``. And the
+two halves of a call: pending replies that complete out of order, time out
+or die with their connection one by one, and leave nothing behind when
+abandoned.
 """
 
 from __future__ import annotations
@@ -24,7 +27,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.descriptors import ObjectDescriptor
-from repro.errors import DeadlineExceeded, ServerBusy, TransientServerError
+from repro.errors import (
+    DeadlineExceeded,
+    ObjectNotFound,
+    ServerBusy,
+    ServerUnavailable,
+    TransientServerError,
+)
 from repro.faults import FaultPlan, inject_faults
 from repro.geometry import BBox, Domain
 from repro.net.frames import Frame, MuxFrameDecoder, ProtocolError, frame_header_v2
@@ -32,6 +41,7 @@ from repro.net.mux import current_deadline, deadline_scope
 from repro.net.protocol import encode_request_iov
 from repro.net.shm import ShmTransport
 from repro.net.tcp import TcpTransport
+from repro.obs import get_registry
 from repro.staging import StagingClient, StagingGroup
 from repro.staging.resilience import RetryPolicy
 
@@ -200,6 +210,143 @@ def test_slow_fault_delays_only_its_own_request():
         assert fast_elapsed < 0.45, f"fast request waited {fast_elapsed:.3f}s"
         t.join(timeout=30)
         assert slow_done.is_set()
+    finally:
+        group.close()
+
+
+# ---------------------------------------------------------------------------
+# pending replies: a call's two halves (submit → PendingReply → wait)
+
+
+def _inflight() -> float:
+    return get_registry().gauge("net.mux.inflight").value
+
+
+def _slow_group(latency: float, calls: int = 1):
+    """One server holding one object, its next ``calls`` data ops slowed."""
+    group = StagingGroup.create(DOMAIN, num_servers=1, transport=WIRE)
+    desc = ObjectDescriptor("pend", 1, DOMAIN.bbox)
+    StagingClient(group, client_id="w").put(desc, make_payload(desc))
+    inject_faults(
+        group, [FaultPlan(server=0, op=0, kind="slow", latency=latency, calls=calls)]
+    )
+    return group, desc
+
+
+def test_pending_replies_complete_out_of_order():
+    group, desc = _slow_group(0.5)
+    try:
+        server = group.servers[0]
+        slow = server.begin("get", (desc,))  # first in, sleeps in a worker
+        fast = server.begin("blob_keys", ("pend", 1))
+        t0 = time.perf_counter()
+        assert fast.result() == []
+        assert time.perf_counter() - t0 < 0.35, "the later request waited its turn"
+        assert not slow.reply.answered(0)
+        np.testing.assert_array_equal(slow.result(), make_payload(desc))
+        assert _endpoint(group)._conn.pending_count == 0
+    finally:
+        group.close()
+
+
+def test_timeout_fails_only_its_own_request():
+    group, desc = _slow_group(0.6)
+    try:
+        server = group.servers[0]
+        shared = _endpoint(group)._connection()
+        with deadline_scope(time.time() + 0.15):
+            doomed = server.begin("get", (desc,))
+        sibling = server.begin("get", (desc,))  # no deadline: default timeout
+        with pytest.raises(TransientServerError, match="timeout"):
+            doomed.result()
+        np.testing.assert_array_equal(sibling.result(), make_payload(desc))
+        # The connection outlived the timeout; the late reply is dropped by id.
+        assert _endpoint(group)._conn is shared and not shared.dead
+        assert server.ping()
+        assert shared.pending_count == 0
+    finally:
+        group.close()
+
+
+def test_dead_connection_fails_every_pending_handle():
+    group, desc = _slow_group(0.5, calls=0)
+    try:
+        server = group.servers[0]
+        endpoint = _endpoint(group)
+        before = _inflight()
+        handles = [server.begin("get", (desc,)) for _ in range(3)]
+        assert _inflight() == before + 3
+        endpoint.process.kill()
+        endpoint.process.join(timeout=10)
+        for handle in handles:
+            with pytest.raises(ServerUnavailable):
+                handle.result()
+        assert _inflight() == before
+        # ... and so does one begun after the process died (the failure to
+        # send is kept on the handle, not raised by the begin half).
+        late = server.begin("get", (desc,))
+        with pytest.raises(ServerUnavailable):
+            late.result()
+    finally:
+        group.close()
+
+
+def test_abandoned_handle_leaves_nothing_pending():
+    group, desc = _slow_group(0.3)
+    try:
+        server = group.servers[0]
+        before = _inflight()
+        handle = server.begin("get", (desc,))
+        conn = _endpoint(group)._conn
+        assert conn.pending_count == 1 and _inflight() == before + 1
+        handle.abandon()
+        assert conn.pending_count == 0 and _inflight() == before
+        handle.abandon()  # idempotent
+        assert _inflight() == before
+        with pytest.raises(RuntimeError, match="already settled"):
+            handle.result()
+        # The stray reply is dropped by id; the connection carries on.
+        time.sleep(0.4)
+        np.testing.assert_array_equal(server.get(desc), make_payload(desc))
+        assert _endpoint(group)._conn is conn and not conn.dead
+    finally:
+        group.close()
+
+
+def test_pending_batch_settles_like_the_synchronous_form():
+    group = StagingGroup.create(DOMAIN, num_servers=1, transport=WIRE)
+    try:
+        box = BBox((0, 0, 0), (4, 4, 4))
+        d = ObjectDescriptor("pb", 0, box)
+        payload = make_payload(d)
+        endpoint = _endpoint(group)
+        call = endpoint.request_batch(
+            [("put", (d, payload)), ("covers", (d,)), ("get", (d,))], pending=True
+        )
+        _ack, covered, got = call.result()
+        assert covered is True
+        np.testing.assert_array_equal(got, payload)
+        bad = endpoint.request_batch(
+            [("get", (ObjectDescriptor("ghost", 1, box),))], pending=True
+        )
+        with pytest.raises(ObjectNotFound):
+            bad.result()
+    finally:
+        group.close()
+
+
+def test_overlapped_burst_is_windowed_below_queue_depth():
+    """One thread begins far more requests than the server admits at once:
+    the begin half holds frames back instead of letting the server shed."""
+    group = StagingGroup.create(
+        DOMAIN, num_servers=1, transport=WireTransport(queue_depth=4, workers=2)
+    )
+    try:
+        server = group.servers[0]
+        handles = [server.begin("blob_keys", ("x", v)) for v in range(40)]
+        assert [h.result() for h in handles] == [[]] * 40
+        metrics = _endpoint(group).request("admin:metrics", ())
+        assert metrics["net.mux.shed"]["value"] == 0
     finally:
         group.close()
 

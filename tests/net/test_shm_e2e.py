@@ -245,6 +245,33 @@ class TestFailStop:
         assert group.transport.segment_names() == []
         assert not (set(names_live) & set(leaked_segment_names()))
 
+    def test_sibling_failure_in_a_fan_out_leases_and_leaks_nothing(self):
+        """One server of a scatter/gather dies: every other server's reply
+        is still consumed, so its slabs go back to the pool (none stays
+        leased), the dead server's are retired, and close() leaves
+        ``/dev/shm`` clean."""
+        group = StagingGroup.create(DOMAIN, num_servers=4, transport="shm")
+        client = StagingClient(group, client_id="w")
+        d = desc()
+        payload = make_payload(d)
+        placed = _counter("net.shm.oob_bytes")
+        client.put(d, payload)
+        assert _counter("net.shm.oob_bytes") > placed  # shards do ride segments
+        victim = group.transport.endpoints()[2]
+        victim.process.kill()
+        victim.process.join(timeout=10)
+        for attempt in (lambda: client.get(d), lambda: client.put(desc("u", 1), payload)):
+            with pytest.raises(ServerUnavailable):
+                attempt()
+            for endpoint in group.transport.endpoints():
+                assert not endpoint.pool._busy, f"slab still leased @{endpoint.server_id}"
+                conn = endpoint._conn
+                assert conn is None or conn.pending_count == 0
+        names_live = group.transport.segment_names()
+        group.close()
+        assert group.transport.segment_names() == []
+        assert not (set(names_live) & set(leaked_segment_names()))
+
     def test_rebuild_replaces_dead_process(self):
         group = StagingGroup.create(
             DOMAIN,

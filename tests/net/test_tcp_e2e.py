@@ -7,6 +7,8 @@ kept small and shared where state allows.
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,49 @@ class TestFailStop:
             assert group.health.state(0) == "up"
             group.drop_protection()
             np.testing.assert_array_equal(client.get(d), payload)
+        finally:
+            group.close()
+
+
+class TestFanOut:
+    def test_one_frame_per_server_all_in_flight_together(self):
+        """A 4-server get is four frames — counted where they enter, one per
+        ``_Endpoint.request`` — and all four are out before any is read."""
+        group = StagingGroup.create(DOMAIN, num_servers=4, transport="tcp")
+        try:
+            client = StagingClient(group, client_id="w")
+            d = desc()
+            client.put(d, make_payload(d))
+            inject_faults(
+                group,
+                [FaultPlan(server=s, op=0, kind="slow", latency=0.1) for s in range(4)],
+            )
+            before = _request_count()
+            t0 = perf_counter()
+            np.testing.assert_array_equal(client.get(d), make_payload(d))
+            assert perf_counter() - t0 < 0.3  # four 0.1 s waits, overlapped
+            assert _request_count() - before == 4
+        finally:
+            group.close()
+
+    def test_killed_process_fails_its_call_after_the_siblings_settle(self):
+        group = StagingGroup.create(DOMAIN, num_servers=4, transport="tcp")
+        try:
+            client = StagingClient(group, client_id="w")
+            d = desc()
+            client.put(d, make_payload(d))
+            victim = group.transport.endpoints()[1]
+            victim.process.kill()
+            victim.process.join(timeout=10)
+            with pytest.raises(ServerUnavailable) as err:
+                client.get(d)
+            assert err.value.server_id == 1
+            assert group.health.state(1) == "down"
+            for endpoint in group.transport.endpoints():
+                conn = endpoint._conn
+                assert conn is None or conn.pending_count == 0
+            # The survivors' connections are untouched and still serve.
+            assert all(group.servers[s].ping() for s in (0, 2, 3))
         finally:
             group.close()
 

@@ -48,6 +48,17 @@ class TestServer:
         srv.evict_older_than_version("x", 3)
         assert srv.query_versions("x") == [3, 4]
 
+    def test_evict_consumed_never_drops_the_newest(self):
+        srv = StagingServer(0)
+        for v in range(4):
+            srv.put(ObjectDescriptor("x", v, BBox((0,), (4,))), np.zeros(4))
+        assert srv.evict_consumed("x", 2) == 2 * 4 * 8
+        assert srv.query_versions("x") == [2, 3]
+        # A floor past the newest version still leaves it to serve.
+        assert srv.evict_consumed("x", 9) == 4 * 8
+        assert srv.query_versions("x") == [3]
+        assert srv.evict_consumed("nope", 1) == 0
+
     def test_summary(self):
         srv = StagingServer(2)
         srv.put(ObjectDescriptor("rho", 0, BBox((0,), (4,))), np.zeros(4))

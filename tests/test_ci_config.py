@@ -86,6 +86,26 @@ class TestWorkflowShape:
         assert "tests/runtime/test_workflow_schemes.py" in runs
         assert "tests/runtime/test_parallel_recovery.py" in runs
 
+    def test_transport_solo_step_list_is_pinned(self, workflow):
+        """What runs over the wire is a reviewed list: ``tests/core`` is an
+        inproc suite except for the three files whose evictions now overlap
+        on the wire."""
+        steps = workflow["jobs"]["transport"]["steps"]
+        solo = next(s for s in steps if "solo" in s.get("if", ""))
+        assert [a for a in solo["run"].split() if a.startswith("tests/")] == [
+            "tests/net",
+            "tests/staging",
+            "tests/faults",
+            "tests/core/test_data_log.py",
+            "tests/core/test_garbage.py",
+            "tests/core/test_gc_incremental.py",
+            "tests/runtime/test_parallel_staging.py",
+            "tests/runtime/test_degraded_service.py",
+            "tests/runtime/test_rollback_index.py",
+            "tests/runtime/test_workflow_schemes.py",
+            "tests/runtime/test_parallel_recovery.py",
+        ]
+
     def test_nightly_soak_is_schedule_gated_and_runs_both_transports(self, workflow):
         job = workflow["jobs"]["nightly-soak"]
         assert "schedule" in job["if"]
