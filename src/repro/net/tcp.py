@@ -113,8 +113,11 @@ def _context():
 
     forkserver + preloading the server module makes each spawn a cheap fork
     of an already-warm interpreter (numpy and the staging stack imported
-    once) while staying safe in this thread-heavy parent. Falls back to
-    spawn where forkserver is unsupported.
+    once) while staying safe in this thread-heavy parent. ``repro.net.shm``
+    is preloaded with it: a server process that imports it on demand spends
+    its first segment-carried request (~14 ms) doing so — which a rebuild's
+    replacement server pays on the rebuilding thread. Falls back to spawn
+    where forkserver is unsupported.
     """
     global _mp_ctx
     if _mp_ctx is None:
@@ -124,7 +127,7 @@ def _context():
 
                 try:
                     ctx = multiprocessing.get_context("forkserver")
-                    ctx.set_forkserver_preload(["repro.net.tcpserver"])
+                    ctx.set_forkserver_preload(["repro.net.tcpserver", "repro.net.shm"])
                 except ValueError:
                     ctx = multiprocessing.get_context("spawn")
                 _mp_ctx = ctx

@@ -152,7 +152,8 @@ class Dispatcher:
         self._swap_lock = threading.Lock()
         self.stop = threading.Event()
         # Shared-memory attach registry, created on the first shm request so
-        # plain TCP servers never touch multiprocessing.shared_memory.
+        # plain TCP servers never open a segment (the module itself is
+        # preloaded by the forkserver, see ``repro.net.tcp._context``).
         self._segments = None
 
     def _shm_segments(self):

@@ -8,10 +8,13 @@ gathers and assembles it. The paper's logging interface in
 How a request reaches several servers depends on the transport:
 
 * **wire transports** (tcp, shm) — :meth:`StagingClient.fan_out` issues the
-  request to every target server first (``RemoteServer.begin``) and only
-  then collects the replies, each under that server's retry/health policy.
-  A logical op costs one round of wire latency however many servers it
-  touches, at every payload size, on the caller's own thread.
+  request to every target server first (:meth:`StagingClient.begin_all`)
+  and only then collects the replies (:meth:`StagingClient.settle_all`), each
+  under that server's retry/health policy. A logical op costs one round of
+  wire latency however many servers it touches, at every payload size, on
+  the caller's own thread. The protected path (:mod:`repro.staging.resilience`)
+  is built from the same two halves, one round per *stage*: data and
+  parity of a put, survivors and parity of a degraded read.
 * **inproc** — calls are plain method calls with nothing to overlap. Shard
   I/O fans out through a process-wide thread pool instead: each task serves
   all of one request's shards for one server, serialized only by that
@@ -73,7 +76,7 @@ _DEADLINE_EXCEEDED = _obs.counter("staging.client.deadline_exceeded")
 # large; below it, pool submit/wake latency exceeds the shard memcpy.
 PARALLEL_THRESHOLD_BYTES = 256 * 1024
 
-# fan_out's default for ``unreachable``: raise instead of substituting.
+# settle_all's default for ``unreachable`` / ``absent``: raise, do not substitute.
 _RAISE = object()
 
 _pool_lock = threading.Lock()
@@ -256,7 +259,7 @@ class StagingClient:
             and len(by_server) >= 2
         )
 
-    def _server_op(self, server_id: int, fn, first=None):
+    def _server_op(self, server_id: int, fn, first=None, check=None):
         """Run one server call under the group's retry/health policy.
 
         Transient errors retry with capped exponential backoff + jitter
@@ -269,7 +272,10 @@ class StagingClient:
 
         ``first`` is an already-issued first attempt (see :meth:`begin_all`):
         attempt 1 collects its reply instead of calling ``fn``; a retry
-        re-issues through ``fn``, synchronously.
+        re-issues through ``fn``, synchronously. ``check(result)`` runs
+        inside each attempt and yields the call's value: a
+        ``TransientServerError`` it raises (a digest mismatch) burns a retry
+        like any other.
         """
         policy = self.group.retry
         health = self.group.health
@@ -288,6 +294,8 @@ class StagingClient:
                 else:
                     with deadline_scope(wall_deadline):
                         result = fn()
+                if check is not None:
+                    result = check(result)
             except ServerUnavailable:
                 health.mark_down(server_id)
                 raise
@@ -312,7 +320,7 @@ class StagingClient:
 
     # -------------------------------------------------------------- fan-out
 
-    def begin_all(self, calls: list[tuple[int, str, tuple]]) -> list:
+    def begin_all(self, calls: list[tuple[int, str, tuple]], servers=None) -> list:
         """Issue the first attempt of every ``(server_id, op, args)`` call.
 
         On a wire transport all of them leave inside one ``deadline_scope``
@@ -320,10 +328,12 @@ class StagingClient:
         one pending call per entry; whoever takes them must settle each one
         (``result()`` or ``abandon()``). Inproc servers have no begin half:
         the result is all ``None`` and the caller makes the call itself.
+        ``servers`` maps ``server_id`` to the server to ask where that is not
+        the group's — a rebuild's replacement, not yet swapped in.
         """
         if not self.group.transport.remote:
             return [None] * len(calls)
-        servers = self.group.servers
+        servers = servers or self.group.servers
         pending: list = []
         try:
             with deadline_scope(time.time() + self.group.retry.deadline):
@@ -334,14 +344,14 @@ class StagingClient:
             raise
         return pending
 
-    def attempt(self, call: tuple[int, str, tuple], pending):
+    def attempt(self, call: tuple[int, str, tuple], pending, servers=None):
         """One attempt at ``call``, outside any retry or health policy: the
         reply to the request :meth:`begin_all` issued for it or, where there
-        was none to issue (inproc), the call itself."""
+        was none to issue (inproc), the call itself (``servers`` as there)."""
         if pending is not None:
             return pending.result()
         server_id, op, args = call
-        return getattr(self.group.servers[server_id], op)(*args)
+        return getattr((servers or self.group.servers)[server_id], op)(*args)
 
     @staticmethod
     def abandon_all(pending: list) -> None:
@@ -351,48 +361,71 @@ class StagingClient:
             if call is not None:
                 call.abandon()
 
-    def fan_out(self, calls: list[tuple[int, str, tuple]], unreachable=_RAISE) -> list:
+    def settle_all(
+        self, calls, pending, checks=None, unreachable=_RAISE, absent=_RAISE
+    ) -> list:
+        """The settle half of :meth:`fan_out`: the values of ``calls``, in
+        call order; ``pending`` holds their first attempts (:meth:`begin_all`).
+
+        Each call is settled inside its own server's :meth:`_server_op` loop
+        (with ``checks[n]``, if given, as call ``n``'s ``check``), so retries,
+        mark-down and the healthy ``ObjectNotFound`` behave exactly as for a
+        lone call. **Every** reply is consumed before anything is raised: a
+        staging error leaves no request in flight, nor any shm slab leased.
+        This is the one place that sorts the errors a call can end with:
+
+        * the server stayed unreachable (``ServerUnavailable``, or
+          ``TransientServerError`` once its retries ran out): the slot holds
+          ``unreachable``, if a value was passed;
+        * the server has no such object (``ObjectNotFound``): the slot holds
+          ``absent``, likewise;
+        * anything else, or one of those with no value to stand in for it,
+          is an error, and the first error in call order is raised.
+        """
+        servers = self.group.servers
+        values: list = []
+        error: StagingError | None = None
+        for n, ((server_id, op, args), first) in enumerate(zip(calls, pending)):
+            try:
+                value = self._server_op(
+                    server_id,
+                    partial(getattr(servers[server_id], op), *args),
+                    first,
+                    checks[n] if checks is not None else None,
+                )
+            except (ServerUnavailable, TransientServerError) as exc:
+                if unreachable is _RAISE:
+                    error = error or exc
+                value = unreachable
+            except ObjectNotFound as exc:
+                if absent is _RAISE:
+                    error = error or exc
+                value = absent
+            except StagingError as exc:
+                error = error or exc
+                value = None
+            values.append(value)
+        if error is not None:
+            raise error
+        return values
+
+    def fan_out(
+        self, calls: list[tuple[int, str, tuple]], checks=None, unreachable=_RAISE, absent=_RAISE
+    ) -> list:
         """One logical op across servers: the values of ``(server_id, op,
         args)`` calls, in call order.
 
         Over the wire every call is in flight before the first reply is
-        awaited (:meth:`begin_all`); each is then settled inside its own
-        server's :meth:`_server_op` loop, so retries, mark-down and the
-        healthy ``ObjectNotFound`` behave exactly as for a lone call — only
-        the waiting overlaps. **Every** reply is consumed before anything is
-        raised: no request is left in flight (nor, under shm, any slab
-        leased) while the caller unwinds.
-
-        Pass ``unreachable=value`` to get ``value`` in the slot of a server
-        that stayed unreachable (``ServerUnavailable``, or
-        ``TransientServerError`` once its retries ran out). Without it those
-        count as errors, and the first error in call order is raised.
+        awaited (:meth:`begin_all`); only the waiting overlaps — each call
+        is settled, and the other arguments used, as :meth:`settle_all` says.
         """
-        servers = self.group.servers
         pending = self.begin_all(calls)
-        values: list = []
-        error: StagingError | None = None
         try:
-            for (server_id, op, args), first in zip(calls, pending):
-                try:
-                    value = self._server_op(
-                        server_id, partial(getattr(servers[server_id], op), *args), first
-                    )
-                except (ServerUnavailable, TransientServerError) as exc:
-                    if unreachable is _RAISE:
-                        error = error or exc
-                    value = unreachable
-                except StagingError as exc:
-                    error = error or exc
-                    value = None
-                values.append(value)
+            return self.settle_all(calls, pending, checks, unreachable, absent)
         finally:
             # A no-op unless something other than a staging error escaped
             # (an interrupt, a bug) and left calls unsettled.
             self.abandon_all(pending)
-        if error is not None:
-            raise error
-        return values
 
     # ------------------------------------------------------------------ put
 
@@ -498,15 +531,16 @@ class StagingClient:
     def _protected_get(self, desc: ObjectDescriptor, out: np.ndarray) -> None:
         """Serve a read through protection records (verified, degraded-capable).
 
-        A concurrent protected put registers its record only after its last
-        parity shard lands, so a racing read can see the data shards
-        (``covers()`` true) while the record is still seconds away — and if
-        an owner crashes in that window, the record-less fallback below hits
+        A concurrent protected put registers its record once its last call
+        is settled: the data shards land during the first of its two rounds
+        (``resilience.protected_put``), the record one round later — the
+        parity/copy round, parity digests taken inside it: a millisecond or
+        two for a multi-MiB put. A racing read can see the data shards
+        (``covers()`` true) inside that window — and if an owner crashes in
+        it, the record-less fallback below hits
         a dead server. Rather than surfacing that transient as data loss,
         re-scan the records under the retry policy's backoff/deadline; the
-        crash is only terminal once no record appears in time. The window is
-        microseconds in-process but grows to wire latency under a socket
-        transport, where unprotected soaks flaked without this.
+        crash is only terminal once no record appears in time.
         """
         policy = self.group.retry
         deadline = perf_counter() + policy.deadline

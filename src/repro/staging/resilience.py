@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -49,12 +50,12 @@ from repro.errors import (
     ConfigError,
     DecodingError,
     ObjectNotFound,
-    ServerUnavailable,
     StagingDegradedError,
     TransientServerError,
 )
 from repro.geometry.bbox import BBox
 from repro.obs import registry as _obs
+from repro.obs.profile import timed
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard (client imports us)
     from repro.staging.client import StagingClient, StagingGroup
@@ -80,6 +81,13 @@ _HEALTH_TRANSITIONS = _obs.counter("staging.health.transitions")
 _REBUILDS = _obs.counter("staging.rebuild.count")
 _REBUILD_BYTES = _obs.counter("staging.rebuild.bytes")
 _REBUILD_SECONDS = _obs.histogram("staging.rebuild.seconds")
+# Where a rebuild's time goes: a replacement server, survivor reads (on pool
+# threads when pipelined, so these may overlap the other two), matrix solves,
+# digest checks + writes to the replacement.
+_REBUILD_PROVISION_SECONDS = _obs.histogram("staging.rebuild.provision.seconds")
+_REBUILD_FETCH_SECONDS = _obs.histogram("staging.rebuild.fetch.seconds")
+_REBUILD_DECODE_SECONDS = _obs.histogram("staging.rebuild.decode.seconds")
+_REBUILD_STORE_SECONDS = _obs.histogram("staging.rebuild.store.seconds")
 _REBUILD_SKIPPED = _obs.counter("staging.rebuild.skipped_records")
 _REBUILD_VERIFY_FAILURES = _obs.counter("staging.rebuild.verify_failures")
 _REBUILD_BATCHES = _obs.counter("recovery.rebuild.batches")
@@ -473,18 +481,42 @@ def _padded(buf: np.ndarray, shard_len: int) -> np.ndarray:
     return out
 
 
-def _parity_candidates(
-    group: "StagingGroup", data_servers: list[int]
-) -> list[int]:
-    """Non-owner servers in deterministic rotation order, healthy first."""
+def _codeword(bufs, members, shard_len: int) -> np.ndarray:
+    """Data shards ``members`` as the zero-padded rows of one codeword."""
+    mat = np.zeros((len(members), shard_len), dtype=np.uint8)
+    for row, i in enumerate(members):
+        mat[row, : bufs[i].size] = bufs[i]
+    return mat
+
+
+def _parity_candidates(group: "StagingGroup", data_servers: list[int]):
+    """Live non-owner servers in deterministic rotation order — an iterator,
+    so each is judged (down servers are skipped) at the moment it is drawn."""
     n = len(group.servers)
-    taken = set(data_servers)
     start = (max(data_servers) + 1) % n
-    order = [(start + i) % n for i in range(n)]
-    others = [s for s in order if s not in taken]
-    return [s for s in others if not group.health.is_down(s)] + [
-        s for s in others if group.health.is_down(s)
-    ]
+    for s in ((start + i) % n for i in range(n)):
+        if s not in data_servers and not group.health.is_down(s):
+            yield s
+
+
+def _blob_families(cfg, record_id: str, owners: list[int], bufs, shard_len: int, groups):
+    """Each codeword's parity rows (rs) or each shard's copies (replication)
+    as ``(owners, [(tag, blob key, payload), ...])``: one family's blobs go
+    to distinct non-owner holders."""
+    if cfg.mode == "replication":
+        return [
+            ([owners[i]], [(i, f"{record_id}#s{i}", buf)] * cfg.replicas)
+            for i, buf in enumerate(bufs)
+        ]
+    families = []
+    for gi, members in enumerate(groups):
+        mat = _codeword(bufs, members, shard_len)
+        rows = RSCode(len(members), cfg.parity).encode_parity(mat)
+        families.append((
+            [owners[i] for i in members],
+            [((gi, j), f"{record_id}#g{gi}p{j}", rows[j]) for j in range(cfg.parity)],
+        ))
+    return families
 
 
 def protected_put(
@@ -502,78 +534,99 @@ def protected_put(
     only in parity until the server is rebuilt — and the put fails with
     :class:`StagingDegradedError` only when more shards were lost than the
     placed protection can reconstruct.
+
+    Two rounds of wire latency. Data: every live owner's ``put_many`` is
+    begun (``StagingClient.begin_all``), shard digests and all parity are
+    computed while those are in flight, then each is settled inside its own
+    server's retry loop. Any error but an unreachable owner — a version
+    conflict — is raised here, before a blob is written: blob keys are a
+    function of ``desc`` and ``put_blob`` overwrites, so a rejected put must
+    not reach the blobs that protect the version already stored. Blobs:
+    every one is begun to its first-choice holder (chosen now, so an owner
+    the data round marked down is passed over), parity digests are computed
+    in flight, all are settled; a blob whose holder proved unreachable goes
+    to its family's next candidate, one synchronous call at a time.
+    In-process servers have no begin half: the same code makes the same
+    calls, in the same order, at settle.
     """
     group = client.group
     cfg = group.protection
-    health = group.health
     data = np.ascontiguousarray(data, dtype=np.dtype(desc.dtype))
     data_servers = sorted(by_server)
     k = len(data_servers)
-
-    infos: list[ShardInfo] = []
-    bufs: list[np.ndarray] = []
-    for s in data_servers:
-        boxes = tuple(by_server[s])
-        buf = _shard_buffer(desc, data, boxes)
-        infos.append(
-            ShardInfo(server=s, boxes=boxes, nbytes=int(buf.nbytes), digest=_digest(buf))
-        )
-        bufs.append(buf)
-    shard_len = max((b.size for b in bufs), default=1) or 1
-
-    failed: list[int] = []
-    for i, (s, info) in enumerate(zip(data_servers, infos)):
-        if health.is_down(s):
-            failed.append(i)
-            continue
-        items = [(desc.with_bbox(b), data[b.slices(desc.bbox)]) for b in info.boxes]
-        server = group.servers[s]
-        try:
-            client._server_op(s, lambda srv=server, it=items: srv.put_many(it))
-        except (ServerUnavailable, TransientServerError):
-            failed.append(i)
-
+    boxes = [tuple(by_server[s]) for s in data_servers]
     record_id = record_id_for(desc)
-    parity: list[ParityInfo] = []
     groups: tuple[tuple[int, ...], ...] = ()
-    copies: tuple[tuple[int, ...], ...] = ()
-    overloaded: list[str] = []
     if cfg.mode == "rs":
         g_max = max(1, len(group.servers) - cfg.parity)
         groups = tuple(
             tuple(range(lo, min(lo + g_max, k))) for lo in range(0, k, g_max)
         )
+
+    live = [i for i, s in enumerate(data_servers) if not group.health.is_down(s)]
+    calls = [
+        (
+            data_servers[i],
+            "put_many",
+            ([(desc.with_bbox(b), data[b.slices(desc.bbox)]) for b in boxes[i]],),
+        )
+        for i in live
+    ]
+    digests: dict[tuple[int, int], str] = {}  # parity digests by (group, j)
+    pending = client.begin_all(calls)
+    try:
+        bufs = [_shard_buffer(desc, data, b) for b in boxes]
+        infos = [
+            ShardInfo(server=s, boxes=b, nbytes=int(buf.nbytes), digest=_digest(buf))
+            for s, b, buf in zip(data_servers, boxes, bufs)
+        ]
+        shard_len = max((b.size for b in bufs), default=1) or 1
+        families = _blob_families(cfg, record_id, data_servers, bufs, shard_len, groups)
+        stored = client.settle_all(calls, pending, unreachable=False)
+
+        blobs: list[tuple] = []  # (tag, spare holders, put_blob call) per begun blob
+        for owners, family in families:
+            spares = _parity_candidates(group, owners)
+            blobs += [
+                (tag, spares, (holder, "put_blob", (desc.name, desc.version, key, blob)))
+                for tag, key, blob in family
+                if (holder := next(spares, None)) is not None
+            ]
+        calls = [call for _tag, _spares, call in blobs]
+        begun = client.begin_all(calls)
+        pending += begun
+        if cfg.mode == "rs":
+            digests = {
+                tag: _digest(blob) for _o, family in families for tag, _key, blob in family
+            }
+        landed = client.settle_all(calls, begun, unreachable=False)
+    finally:
+        # A no-op unless something other than a staging error escaped (an
+        # interrupt, a bug in encode) with calls begun and slabs leased.
+        client.abandon_all(pending)
+
+    failed = sorted(
+        set(range(k)).difference(live)
+        | {i for i, done in zip(live, stored) if done is False}
+    )
+    placed: list[tuple] = []  # (tag, holder) per blob that landed
+    for (tag, spares, call), done in zip(blobs, landed):
+        while done is False and (holder := next(spares, None)) is not None:
+            call = (holder, *call[1:])
+            (done,) = client.fan_out([call], unreachable=False)
+        if done is not False:
+            placed.append((tag, call[0]))
+            _PARITY_BYTES.inc(int(call[2][3].nbytes))
+
+    parity: tuple[ParityInfo, ...] = ()
+    copies: tuple[tuple[int, ...], ...] = ()
+    overloaded: list[str] = []
+    if cfg.mode == "rs":
+        parity = tuple(
+            ParityInfo(group=gi, j=j, server=holder, digest=digests[gi, j])
+            for (gi, j), holder in placed
+        )
         for gi, members in enumerate(groups):
-            gk = len(members)
-            mat = np.zeros((gk, shard_len), dtype=np.uint8)
-            for row, i in enumerate(members):
-                mat[row, : bufs[i].size] = bufs[i]
-            rows = RSCode(gk, cfg.parity).encode_parity(mat)
-            candidates = _parity_candidates(group, [data_servers[i] for i in members])
-            ci = 0
-            for j in range(cfg.parity):
-                placed = False
-                while ci < len(candidates) and not placed:
-                    s = candidates[ci]
-                    ci += 1
-                    if health.is_down(s):
-                        continue
-                    row = rows[j]
-                    server = group.servers[s]
-                    try:
-                        client._server_op(
-                            s,
-                            lambda srv=server, r=row, g=gi, jj=j: srv.put_blob(
-                                desc.name, desc.version, f"{record_id}#g{g}p{jj}", r
-                            ),
-                        )
-                    except (ServerUnavailable, TransientServerError):
-                        continue
-                    parity.append(
-                        ParityInfo(group=gi, j=j, server=s, digest=_digest(row))
-                    )
-                    _PARITY_BYTES.inc(shard_len)
-                    placed = True
             lost = sum(1 for i in failed if i in members)
             placed_parity = sum(1 for p in parity if p.group == gi)
             if lost > placed_parity:
@@ -581,29 +634,9 @@ def protected_put(
                     f"group {gi}: {lost} shard(s) lost, {placed_parity} parity placed"
                 )
     else:
-        placed_copies: list[tuple[int, ...]] = []
-        for i, (s, buf) in enumerate(zip(data_servers, bufs)):
-            holders: list[int] = []
-            candidates = _parity_candidates(group, [s])
-            for c in candidates:
-                if len(holders) >= cfg.replicas:
-                    break
-                if health.is_down(c):
-                    continue
-                server = group.servers[c]
-                try:
-                    client._server_op(
-                        c,
-                        lambda srv=server, b=buf, ii=i: srv.put_blob(
-                            desc.name, desc.version, f"{record_id}#s{ii}", b
-                        ),
-                    )
-                except (ServerUnavailable, TransientServerError):
-                    continue
-                holders.append(c)
-                _PARITY_BYTES.inc(int(buf.nbytes))
-            placed_copies.append(tuple(holders))
-        copies = tuple(placed_copies)
+        copies = tuple(
+            tuple(holder for tag, holder in placed if tag == i) for i in range(k)
+        )
         overloaded = [f"shard {i}: no copy placed" for i in failed if not copies[i]]
 
     record = PutRecord(
@@ -614,7 +647,7 @@ def protected_put(
         shard_len=shard_len,
         shards=tuple(infos),
         groups=groups,
-        parity=tuple(parity),
+        parity=parity,
         copies=copies,
     )
     group.records.add(record)
@@ -638,49 +671,55 @@ def _verify_reads(group: "StagingGroup") -> bool:
     return cfg.verify_reads if cfg is not None else True
 
 
-def _fetch_shard(client: "StagingClient", rec: PutRecord, i: int) -> np.ndarray:
-    """One data shard's bytes, digest-verified. Raises ServerUnavailable /
-    TransientServerError on loss or corruption, ObjectNotFound when a healthy
-    server simply does not hold the fragments (absent ≠ lost).
+def _verified(group: "StagingGroup", rec: PutRecord, read: tuple, reply) -> np.ndarray:
+    """The ``check`` of one protected read: the reply's bytes, held to their
+    put-time digest.
 
-    The digest check runs *inside* the retried callable so a transiently
-    corrupted read burns a retry attempt (with backoff) instead of surfacing
-    as an erasure: ``_server_op`` catches the TransientServerError, marks the
-    failure, and re-reads. Only an exhausted retry budget escalates."""
-    si = rec.shards[i]
-    group = client.group
-    if group.health.is_down(si.server):
-        raise ServerUnavailable(si.server)
-    descs = [rec.desc.with_bbox(b) for b in si.boxes]
-    server = group.servers[si.server]
-
-    def fetch_verified(srv=server, d=descs) -> np.ndarray:
-        parts = srv.get_many(d)
-        chunks = [_as_bytes(p) for p in parts]
-        buf = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        if _verify_reads(group) and _digest(buf) != si.digest:
-            _VERIFY_FAILURES.inc()
-            raise TransientServerError(
-                si.server, f"shard digest mismatch for {rec.desc}"
-            )
-        return buf
-
-    return client._server_op(si.server, fetch_verified)
+    It runs *inside* the retried attempt (``StagingClient._server_op``), so a
+    transiently corrupted read burns a retry (with backoff) instead of
+    surfacing as an erasure; only an exhausted retry budget escalates."""
+    server_id, _op, _args, digest, what = read
+    chunks = [_as_bytes(p) for p in ([reply] if isinstance(reply, np.ndarray) else reply)]
+    buf = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    if _verify_reads(group) and _digest(buf) != digest:
+        _VERIFY_FAILURES.inc()
+        raise TransientServerError(server_id, f"{what} digest mismatch for {rec.desc}")
+    return buf
 
 
-def _fetch_parity(client: "StagingClient", rec: PutRecord, p: ParityInfo) -> np.ndarray:
-    group = client.group
-    server = group.servers[p.server]
-    key = rec.parity_blob_key(p.group, p.j)
+def _read_round(client: "StagingClient", rec: PutRecord, reads: list[tuple]) -> list:
+    """One overlapped round of digest-checked reads ``(server, op, args,
+    digest, what)``: per read its verified bytes — ``None`` where the server
+    stayed unreachable, ``False`` where it answered that it holds none."""
+    return client.fan_out(
+        [read[:3] for read in reads],
+        [partial(_verified, client.group, rec, read) for read in reads],
+        unreachable=None,
+        absent=False,
+    )
 
-    def fetch_verified(srv=server) -> np.ndarray:
-        buf = _as_bytes(srv.get_blob(rec.desc.name, rec.desc.version, key))
-        if _verify_reads(group) and _digest(buf) != p.digest:
-            _VERIFY_FAILURES.inc()
-            raise TransientServerError(p.server, "parity digest mismatch")
-        return buf
 
-    return client._server_op(p.server, fetch_verified)
+def _first_available(client: "StagingClient", rec: PutRecord, wants: list) -> list:
+    """Fill each want — an iterator of alternative ``(tag, read)``, best
+    first — with ``(tag, bytes)``, or ``None`` when every alternative failed.
+
+    The wants' first choices are asked in one overlapped round; a read that
+    comes back lost or absent moves on to its want's next alternative, one
+    synchronous call at a time. Wants may share an iterator (any ``n`` of a
+    codeword's parity rows): each then draws a different alternative."""
+    picks = [next(want, None) for want in wants]
+    firsts = iter(
+        _read_round(client, rec, [pick[1] for pick in picks if pick is not None])
+    )
+    filled = []
+    for want, pick in zip(wants, picks):
+        got = next(firsts) if pick is not None else None
+        while pick is not None and not isinstance(got, np.ndarray):
+            pick = next(want, None)
+            if pick is not None:
+                (got,) = _read_round(client, rec, [pick[1]])
+        filled.append(None if pick is None else (pick[0], got))
+    return filled
 
 
 def _fetch_shards(
@@ -691,20 +730,28 @@ def _fetch_shards(
     erased: set[int],
     absent: set[int] | None = None,
 ) -> None:
-    """Fetch data shards ``indices`` into ``bufs``; the ones lost to server
-    faults land in ``erased``. Shards a healthy server simply does not hold
-    raise :class:`ObjectNotFound`, unless the caller collects them in
-    ``absent``. Already fetched or erased shards are skipped."""
-    for i in indices:
-        if i in bufs or i in erased:
-            continue
-        try:
-            bufs[i] = _fetch_shard(client, rec, i)
-        except (ServerUnavailable, TransientServerError):
+    """Fetch data shards ``indices`` into ``bufs``, digest-verified, in one
+    overlapped round; the ones lost to server faults (a down owner, an
+    exhausted retry budget) land in ``erased``. Shards a healthy server
+    simply does not hold (absent ≠ lost) raise :class:`ObjectNotFound`,
+    unless the caller collects them in ``absent``. Already fetched or erased
+    shards are skipped."""
+    health = client.group.health
+    todo = [i for i in indices if i not in bufs and i not in erased]
+    erased.update(i for i in todo if health.is_down(rec.shards[i].server))
+    todo = [i for i in todo if i not in erased]
+    reads = [
+        (si.server, "get_many", ([rec.desc.with_bbox(b) for b in si.boxes],), si.digest, "shard")
+        for si in (rec.shards[i] for i in todo)
+    ]
+    for i, got in zip(todo, _read_round(client, rec, reads)):
+        if got is None:
             erased.add(i)
-        except ObjectNotFound:
-            if absent is None:
-                raise
+        elif got is not False:
+            bufs[i] = got
+        elif absent is None:
+            raise ObjectNotFound(f"{rec.desc}: shard {i} absent (not lost)")
+        else:
             absent.add(i)
 
 
@@ -740,7 +787,8 @@ def _plan_recovery(
     :class:`ObjectNotFound` when nothing was lost to server faults and the
     data is simply absent (e.g. rolled back).
     """
-    group = client.group
+    down = client.group.health.is_down
+    name, version = rec.desc.name, rec.desc.version
     absent: set[int] = set()
     if rec.mode == "rs":
         # Decoding is per subgroup: fetch the surviving members of every
@@ -752,44 +800,43 @@ def _plan_recovery(
     erased |= absent
 
     if rec.mode == "replication":
-        recovered: dict[int, np.ndarray] = {}
-        for i in sorted(erased):
-            si = rec.shards[i]
-            buf = None
+
+        def copies_of(i: int):
+            key, digest = rec.copy_blob_key(i), rec.shards[i].digest
             for c in rec.copies[i] if i < len(rec.copies) else ():
-                if group.health.is_down(c):
-                    continue
-                server = group.servers[c]
-                key = rec.copy_blob_key(i)
+                if not down(c):
+                    yield c, (c, "get_blob", (name, version, key), digest, "copy")
 
-                def fetch_verified(srv=server, kk=key, want=si, holder=c) -> np.ndarray:
-                    flat = _as_bytes(
-                        srv.get_blob(rec.desc.name, rec.desc.version, kk)
-                    )
-                    if _verify_reads(group) and _digest(flat) != want.digest:
-                        _VERIFY_FAILURES.inc()
-                        raise TransientServerError(
-                            holder, f"copy digest mismatch for {rec.desc}"
-                        )
-                    return flat
-
-                try:
-                    flat = client._server_op(c, fetch_verified)
-                except (ServerUnavailable, TransientServerError, ObjectNotFound):
-                    continue
-                buf = flat[: si.nbytes]
-                break
-            if buf is None:
+        lost = sorted(erased)
+        wants = [copies_of(i) for i in lost]
+        recovered: dict[int, np.ndarray] = {}
+        for i, copy in zip(lost, _first_available(client, rec, wants)):
+            if copy is None:
                 if not fault_losses:
                     raise ObjectNotFound(f"{rec.desc}: shard {i} absent (not lost)")
                 raise StagingDegradedError(
                     f"{rec.desc}: shard {i} and all its copies are unavailable"
                 )
-            recovered[i] = buf
+            recovered[i] = copy[1][: rec.shards[i].nbytes]
         return [], recovered
 
+    def parity_of(gi: int):
+        for p in rec.parity:
+            if p.group == gi and not down(p.server):
+                key = rec.parity_blob_key(p.group, p.j)
+                yield p, (p.server, "get_blob", (name, version, key), p.digest, "parity")
+
+    # Each affected codeword wants as many parity rows as it is short of
+    # data shards — any of its rows will do.
+    affected = sorted({rec.group_of(i) for i in erased})
+    wants = []
+    for gi in affected:
+        short = sum(1 for i in rec.groups[gi] if i not in bufs)
+        wants += [parity_of(gi)] * short
+    parity = [got for got in _first_available(client, rec, wants) if got is not None]
+
     jobs: list[_DecodeJob] = []
-    for gi in sorted({rec.group_of(i) for i in erased}):
+    for gi in affected:
         members = rec.groups[gi]
         gk = len(members)
         group_erased = [i for i in members if i in erased]
@@ -797,18 +844,7 @@ def _plan_recovery(
             Shard(index=row, data=_padded(bufs[i], rec.shard_len))
             for row, i in enumerate(members)
             if i in bufs
-        ]
-        for p in rec.parity:
-            if len(survivors) >= gk:
-                break
-            if p.group != gi or group.health.is_down(p.server):
-                continue
-            try:
-                survivors.append(
-                    Shard(index=gk + p.j, data=_fetch_parity(client, rec, p))
-                )
-            except (ServerUnavailable, TransientServerError, ObjectNotFound):
-                continue
+        ] + [Shard(index=gk + p.j, data=buf) for p, buf in parity if p.group == gi]
         if len(survivors) < gk:
             if not fault_losses and absent:
                 raise ObjectNotFound(
@@ -955,6 +991,7 @@ class _RebuildPlan:
     own_copies: list[int]
     bufs: dict[int, np.ndarray]
     jobs: list[_DecodeJob]
+    verified: set[int]  # shards whose fetch already held them to their digest
 
 
 def rebuild_server(
@@ -979,7 +1016,8 @@ def rebuild_server(
     processed in batches pipelined on the shared staging pool — batch N+1's
     survivor fetches run while batch N decodes and stores — and each batch's
     matrix solves are amortised through ``decode_batch``. ``parallel=False``
-    preserves the serial record-at-a-time path. Either way every
+    takes the records through the same stages one at a time, on the
+    caller's thread. Either way every
     reconstructed shard is digest-verified before it is stored, and the
     server's health flips back up only after the whole rebuild — a replica
     is never marked healthy while holding unverified bytes.
@@ -994,11 +1032,12 @@ def rebuild_server(
     from repro.staging.client import StagingClient
 
     t0 = perf_counter()
-    fresh = (
-        replacement
-        if replacement is not None
-        else group.transport.make_replacement(server_id)
-    )
+    with timed(_REBUILD_PROVISION_SECONDS):
+        fresh = (
+            replacement
+            if replacement is not None
+            else group.transport.make_replacement(server_id)
+        )
     client = StagingClient(group, client_id=f"rebuild-{server_id}")
     group.health.mark_down(server_id)  # route every fetch to survivors
     if parallel is None:
@@ -1007,12 +1046,10 @@ def rebuild_server(
     if parallel and records:
         rebuilt = _rebuild_pipelined(client, records, server_id, fresh, batch_size)
     else:
-        rebuilt = 0
-        for rec in records:
-            try:
-                rebuilt += _rebuild_record(client, rec, server_id, fresh)
-            except (ObjectNotFound, StagingDegradedError):
-                _REBUILD_SKIPPED.inc()
+        rebuilt = sum(
+            _apply_rebuild_batch(client, _fetch_rebuild_batch(client, [rec], server_id), fresh)
+            for rec in records
+        )
     group.servers[server_id] = fresh
     group.health.reset(server_id)
     _REBUILDS.inc()
@@ -1024,7 +1061,9 @@ def rebuild_server(
 def _plan_rebuild_record(
     client: "StagingClient", rec: PutRecord, server_id: int
 ) -> _RebuildPlan | None:
-    """Fetch stage: gather every survivor this record's rebuild needs.
+    """Fetch stage: gather every survivor this record's rebuild needs — one
+    overlapped round of shard reads, then (if any are lost) one of parity or
+    copies.
 
     Returns ``None`` when the record does not reference ``server_id``.
     Decode jobs are returned un-decoded so the caller can batch the solves
@@ -1037,104 +1076,108 @@ def _plan_rebuild_record(
         return None
 
     want = set(own_data) | set(own_copies)
-    for p in own_parity:  # parity recompute needs its codeword's shards
-        want |= set(rec.groups[p.group])
+    # Parity recompute needs its codeword's shards, and so does decoding a
+    # lost data shard: ask for both in the one round.
+    codewords = {p.group for p in own_parity}
+    if rec.mode == "rs":
+        codewords |= {rec.group_of(i) for i in own_data}
+    for gi in codewords:
+        want |= set(rec.groups[gi])
     bufs: dict[int, np.ndarray] = {}
     erased: set[int] = set()
     _fetch_shards(
         client, rec, sorted(want) if want else range(len(rec.shards)), bufs, erased
     )
     jobs: list[_DecodeJob] = []
+    recovered: dict[int, np.ndarray] = {}
     if erased:
         jobs, recovered = _plan_recovery(client, rec, bufs, erased)
-        bufs.update(recovered)
-    return _RebuildPlan(rec, own_data, own_parity, own_copies, bufs, jobs)
+    verified = set(bufs) if _verify_reads(client.group) else set()
+    bufs.update(recovered)
+    return _RebuildPlan(rec, own_data, own_parity, own_copies, bufs, jobs, verified)
 
 
-def _store_rebuilt(plan: _RebuildPlan, fresh) -> int:
-    """Verify one record's rebuilt bytes against put-time digests, then store.
+def _fetch_rebuild_batch(
+    client: "StagingClient", batch: list[PutRecord], server_id: int
+) -> list:
+    """Plan every record of ``batch``; a record whose survivors are
+    insufficient parks its exception in its slot (per-record isolation)."""
+    plans: list = []
+    with timed(_REBUILD_FETCH_SECONDS):
+        for rec in batch:
+            try:
+                plans.append(_plan_rebuild_record(client, rec, server_id))
+            except (ObjectNotFound, StagingDegradedError) as exc:
+                plans.append(exc)
+    return plans
 
-    Verification is unconditional — independent of ``verify_reads`` — and
-    covers reconstructed *and* directly-fetched shards plus recomputed
-    parity, so a corrupt survivor or a bad decode can never be laundered
-    onto the replacement. Nothing is stored until everything checks out
+
+def _store_rebuilt(client: "StagingClient", plan: _RebuildPlan, fresh) -> int:
+    """Verify one record's rebuilt bytes against put-time digests, then store
+    them on ``fresh`` as one overlapped batch.
+
+    Nothing reaches the replacement unless it was checked against its
+    put-time digest — independent of ``verify_reads`` — so a corrupt
+    survivor or a bad decode can never be laundered onto it: reconstructed
+    shards and recomputed parity are hashed here, and so is every directly
+    fetched shard that its fetch did not verify already
+    (``plan.verified``). Nothing is stored until everything checks out
     (record-level all-or-nothing).
     """
     rec = plan.rec
     bufs = plan.bufs
     dtype = np.dtype(rec.desc.dtype)
+    name, version = rec.desc.name, rec.desc.version
 
-    for i in sorted(set(plan.own_data) | set(plan.own_copies)):
+    for i in sorted((set(plan.own_data) | set(plan.own_copies)) - plan.verified):
         if _digest(bufs[i]) != rec.shards[i].digest:
             _REBUILD_VERIFY_FAILURES.inc()
             raise StagingDegradedError(
                 f"{rec.desc}: rebuilt shard {i} fails digest verification"
             )
-    parity_rows: dict[tuple[int, int], np.ndarray] = {}
+    stores: list[tuple[int, str, tuple]] = []
+    sid = fresh.server_id
+    only = {sid: fresh}  # not the group's server ``sid`` until the rebuild is done
+    rebuilt = 0
+    for i in plan.own_data:
+        offset = 0
+        items = []
+        for b in rec.shards[i].boxes:
+            nb = b.volume * dtype.itemsize
+            arr = bufs[i][offset : offset + nb].view(dtype).reshape(b.shape)
+            items.append((rec.desc.with_bbox(b), arr))
+            offset += nb
+        stores.append((sid, "put_many", (items,)))
+        rebuilt += rec.shards[i].nbytes
     for p in plan.own_parity:
         members = rec.groups[p.group]
-        gk = len(members)
-        mat = np.zeros((gk, rec.shard_len), dtype=np.uint8)
-        for row, i in enumerate(members):
-            mat[row, : bufs[i].size] = bufs[i]
-        rows = RSCode(gk, rec.parity_count).encode_parity(mat)
-        if _digest(rows[p.j]) != p.digest:
+        mat = _codeword(bufs, members, rec.shard_len)
+        row = RSCode(len(members), rec.parity_count).encode_parity(mat)[p.j]
+        if _digest(row) != p.digest:
             _REBUILD_VERIFY_FAILURES.inc()
             raise StagingDegradedError(
                 f"{rec.desc}: recomputed parity g{p.group}p{p.j} fails digest "
                 f"verification"
             )
-        parity_rows[(p.group, p.j)] = rows[p.j]
-
-    rebuilt = 0
-    for i in plan.own_data:
-        si = rec.shards[i]
-        buf = bufs[i]
-        offset = 0
-        items = []
-        for b in si.boxes:
-            nb = b.volume * dtype.itemsize
-            arr = buf[offset : offset + nb].view(dtype).reshape(b.shape)
-            items.append((rec.desc.with_bbox(b), arr))
-            offset += nb
-        fresh.put_many(items)
-        rebuilt += si.nbytes
-
-    for p in plan.own_parity:
-        fresh.put_blob(
-            rec.desc.name,
-            rec.desc.version,
-            rec.parity_blob_key(p.group, p.j),
-            parity_rows[(p.group, p.j)],
-        )
+        key = rec.parity_blob_key(p.group, p.j)
+        stores.append((sid, "put_blob", (name, version, key, row)))
         rebuilt += rec.shard_len
-
     for i in plan.own_copies:
-        fresh.put_blob(
-            rec.desc.name, rec.desc.version, rec.copy_blob_key(i), bufs[i]
-        )
+        stores.append((sid, "put_blob", (name, version, rec.copy_blob_key(i), bufs[i])))
         rebuilt += rec.shards[i].nbytes
 
+    # No retry/health policy: the replacement is not in the group yet, and a
+    # failure to fill it fails the rebuild.
+    pending = client.begin_all(stores, only)
+    try:
+        for store, first in zip(stores, pending):
+            client.attempt(store, first, only)
+    finally:
+        client.abandon_all(pending)
     return rebuilt
 
 
-def _rebuild_record(
-    client: "StagingClient", rec: PutRecord, server_id: int, fresh
-) -> int:
-    """Serial path: plan, decode, verify, and store one record."""
-    plan = _plan_rebuild_record(client, rec, server_id)
-    if plan is None:
-        return 0
-    for job, raw in zip(plan.jobs, _decode_jobs(plan.jobs)):
-        if isinstance(raw, DecodingError):
-            raise StagingDegradedError(
-                f"{rec.desc}: reconstruction failed: {raw}"
-            ) from raw
-        _apply_decoded(job, raw, plan.bufs)
-    return _store_rebuilt(plan, fresh)
-
-
-def _apply_rebuild_batch(plans: list, fresh) -> int:
+def _apply_rebuild_batch(client: "StagingClient", plans: list, fresh) -> int:
     """Decode + verify + store one fetched batch; skips failed records."""
     jobs = [
         job
@@ -1142,7 +1185,8 @@ def _apply_rebuild_batch(plans: list, fresh) -> int:
         if isinstance(plan, _RebuildPlan)
         for job in plan.jobs
     ]
-    raw_by_job = dict(zip(map(id, jobs), _decode_jobs(jobs)))
+    with timed(_REBUILD_DECODE_SECONDS):
+        raw_by_job = dict(zip(map(id, jobs), _decode_jobs(jobs)))
     rebuilt = 0
     for plan in plans:
         if plan is None:
@@ -1158,7 +1202,8 @@ def _apply_rebuild_batch(plans: list, fresh) -> int:
                         f"{plan.rec.desc}: reconstruction failed: {raw}"
                     ) from raw
                 _apply_decoded(job, raw, plan.bufs)
-            rebuilt += _store_rebuilt(plan, fresh)
+            with timed(_REBUILD_STORE_SECONDS):
+                rebuilt += _store_rebuilt(client, plan, fresh)
         except (ObjectNotFound, StagingDegradedError):
             _REBUILD_SKIPPED.inc()
     return rebuilt
@@ -1180,25 +1225,15 @@ def _rebuild_pipelined(
     plan slot, a decode/verify failure skips that record at store time.
     """
     pool = client.group.executor
-
-    def fetch_batch(batch: list[PutRecord]) -> list:
-        plans: list = []
-        for rec in batch:
-            try:
-                plans.append(_plan_rebuild_record(client, rec, server_id))
-            except (ObjectNotFound, StagingDegradedError) as exc:
-                plans.append(exc)
-        return plans
-
     batches = [
         records[lo : lo + batch_size] for lo in range(0, len(records), batch_size)
     ]
     rebuilt = 0
-    future = pool.submit(fetch_batch, batches[0])
+    future = pool.submit(_fetch_rebuild_batch, client, batches[0], server_id)
     for bi in range(len(batches)):
         plans = future.result()
         if bi + 1 < len(batches):
-            future = pool.submit(fetch_batch, batches[bi + 1])
+            future = pool.submit(_fetch_rebuild_batch, client, batches[bi + 1], server_id)
         _REBUILD_BATCHES.inc()
-        rebuilt += _apply_rebuild_batch(plans, fresh)
+        rebuilt += _apply_rebuild_batch(client, plans, fresh)
     return rebuilt

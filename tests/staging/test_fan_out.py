@@ -5,7 +5,9 @@ lane re-runs ``tests/staging`` over tcp and shm). On a wire transport a
 4-server ``put`` / ``get`` / ``covers`` and a GC pass must overlap their
 requests — measured against server-side ``slow`` faults — while retry,
 mark-down and the pending-eviction queue behave per server exactly as on the
-sequential inproc path, which each wire test is also run against.
+sequential inproc path, which each wire test is also run against. The
+protected path (``staging.resilience``) is held to the same rule per *stage*:
+data then parity of a put, survivors then parity of a degraded read.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ import pytest
 from repro.core.data_log import DataLog
 from repro.core.event_queue import EventQueue
 from repro.core.garbage import GarbageCollector
+from repro.corec.reedsolomon import RSCode
 from repro.descriptors import ObjectDescriptor
-from repro.errors import ServerUnavailable
+from repro.errors import ServerUnavailable, VersionConflict
 from repro.faults import FaultPlan, inject_faults
 from repro.geometry import Domain
 from repro.obs import get_registry
-from repro.staging import RetryPolicy, StagingClient, StagingGroup
+from repro.staging import ProtectionConfig, RetryPolicy, StagingClient, StagingGroup
 
 from tests.conftest import make_payload
 
@@ -37,9 +40,13 @@ def _desc(version: int = 0) -> ObjectDescriptor:
     return ObjectDescriptor("field", version, DOMAIN.bbox)
 
 
-def make_group(transport=None) -> tuple[StagingGroup, StagingClient]:
+def make_group(transport=None, protection=None) -> tuple[StagingGroup, StagingClient]:
     group = StagingGroup.create(
-        DOMAIN, num_servers=SERVERS, retry=FAST_RETRY, transport=transport
+        DOMAIN,
+        num_servers=SERVERS,
+        retry=FAST_RETRY,
+        transport=transport,
+        protection=protection,
     )
     return group, StagingClient(group, client_id="fan-out")
 
@@ -62,9 +69,13 @@ def slow_everywhere(group) -> None:
     )
 
 
-def assert_one_round(group, elapsed: float, sequential_ops: int) -> None:
+def assert_one_round(
+    group, elapsed: float, sequential_ops: int, rounds: int = 1
+) -> None:
     if group.transport.remote:
-        assert elapsed < 2 * LATENCY, f"{elapsed:.3f}s: requests did not overlap"
+        assert elapsed < (rounds + 1) * LATENCY, (
+            f"{elapsed:.3f}s: requests did not overlap"
+        )
     else:
         # The inproc reference has nothing to overlap: one op after another.
         assert elapsed >= sequential_ops * LATENCY
@@ -252,3 +263,168 @@ class TestEvictionsMatchSequential:
         for v in range(100):
             assert not client.covers(_desc(v))
         assert client.covers(_desc(100))
+
+
+RS2 = ProtectionConfig(mode="rs", parity=2)
+# On 4 servers RS(+2) codes a full-domain put as two codewords of two data
+# shards each: 4 ``put_many`` + 4 ``put_blob``, two ops on every server.
+
+
+@pytest.fixture
+def protected():
+    group, client = make_group(protection=RS2)
+    yield group, client
+    group.close()
+
+
+def verify_failures() -> int:
+    return get_registry().counter("staging.client.verify_failures").value
+
+
+class TestProtectedPathOverlaps:
+    def test_two_rounds_per_put_one_per_read(self, protected):
+        group, client = protected
+        d = _desc()
+        payload = make_payload(d)
+        client.put(d, payload)  # warm: connections dialled, slabs created
+        slow_everywhere(group)
+
+        d1 = _desc(1)
+        t0 = perf_counter()
+        client.put(d1, make_payload(d1))
+        assert_one_round(group, perf_counter() - t0, 2 * SERVERS, rounds=2)
+        assert not unsettled(group)
+
+        t0 = perf_counter()
+        got = client.get(d)
+        assert_one_round(group, perf_counter() - t0, SERVERS)
+        np.testing.assert_array_equal(got, payload)
+        assert not unsettled(group)
+
+        group.health.mark_down(1)  # survivors, then one parity row
+        t0 = perf_counter()
+        got = client.get(d)
+        assert_one_round(group, perf_counter() - t0, SERVERS, rounds=2)
+        np.testing.assert_array_equal(got, payload)
+        assert not unsettled(group)
+
+    @pytest.mark.parametrize("mode", ["rs", "replication"])
+    def test_record_and_bytes_match_inproc(self, mode):
+        cfg = ProtectionConfig(mode=mode, parity=2, replicas=2)
+        seen = []
+        for transport in (None, "inproc"):
+            group, client = make_group(transport, protection=cfg)
+            try:
+                d = _desc()
+                client.put(d, make_payload(d))
+                seen.append((group.records.all_records(), client.get(d).tobytes()))
+                assert not unsettled(group)
+            finally:
+                group.close()
+        ours, reference = seen
+        assert ours == reference
+        (rec,) = ours[0]
+        assert len(rec.parity) == (4 if mode == "rs" else 0)
+        assert [len(c) for c in rec.copies] == ([] if mode == "rs" else [2] * SERVERS)
+        assert ours[1] == make_payload(_desc()).tobytes()
+
+
+class TestProtectedPathPerServerPolicy:
+    @pytest.mark.parametrize("op", [0, 1], ids=["data-op", "parity-op"])
+    def test_crash_mid_put_leaves_nothing_in_flight(self, protected, op):
+        group, client = protected
+        d = _desc()
+        client.put(d, make_payload(d))  # warm
+        inject_faults(group, [FaultPlan(server=1, op=op, kind="crash")])
+        d1 = _desc(1)
+        client.put(d1, make_payload(d1))  # degraded, still within RS(+2)
+        assert group.health.state(1) == "down"
+        assert [group.health.state(s) for s in (0, 2, 3)] == ["up"] * 3
+        assert not unsettled(group)
+        (rec,) = group.records.for_key("field", 1)
+        assert 1 not in {p.server for p in rec.parity}
+        np.testing.assert_array_equal(client.get(d1), make_payload(d1))
+        assert not unsettled(group)
+
+    @pytest.mark.parametrize("kind, mismatches", [("corrupt", 1), ("flaky", 0)])
+    def test_bad_shard_read_retries_its_server_only(self, protected, kind, mismatches):
+        group, client = protected
+        d = _desc()
+        client.put(d, make_payload(d))
+        inject_faults(group, [FaultPlan(server=1, op=0, kind=kind, calls=1)])
+        retries = get_registry().counter("staging.client.retries")
+        before = retries.value, verify_failures()
+        np.testing.assert_array_equal(client.get(d), make_payload(d))
+        assert (retries.value, verify_failures()) == (before[0] + 1, before[1] + mismatches)
+        assert [s.op_count for s in group.servers] == [1, 2, 1, 1]
+        assert all(group.health.state(s) == "up" for s in range(SERVERS))
+        assert not unsettled(group)
+
+    def test_parity_falls_back_to_the_next_candidate(self):
+        """RS(+1) on 4 servers: the second codeword is shard 3 alone, its one
+        parity row goes to server 0 first, with 1 and 2 to spare."""
+        group, client = make_group(protection=ProtectionConfig(mode="rs", parity=1))
+        try:
+            d = _desc()
+            # Server 0's first op is its put_many, its second the put_blob.
+            inject_faults(group, [FaultPlan(server=0, op=1, kind="crash")])
+            client.put(d, make_payload(d))
+            (rec,) = group.records.all_records()
+            assert [(p.group, p.j, p.server) for p in rec.parity] == [(0, 0, 3), (1, 0, 1)]
+            assert rec.parity_blob_key(1, 0) in group.servers[1].blob_keys("field", 0)
+            assert group.health.state(0) == "down"
+            assert not unsettled(group)
+            np.testing.assert_array_equal(client.get(d), make_payload(d))
+        finally:
+            group.close()
+
+    @pytest.mark.parametrize("mode", ["rs", "replication"])
+    @pytest.mark.parametrize("transport", ["inproc", "shm"])
+    def test_rejected_reput_leaves_the_stored_version_protected(self, transport, mode):
+        """A conflicting re-put is refused by the data round, before any
+        blob is begun: blob keys depend on the descriptor alone and
+        ``put_blob`` overwrites, so parity or copies of the refused bytes
+        would replace the ones the stored record's digests name."""
+        cfg = ProtectionConfig(mode=mode, parity=2, replicas=1)
+        group, client = make_group(transport, protection=cfg)
+        try:
+            d = _desc()
+            payload = make_payload(d)
+            client.put(d, payload)
+            (rec,) = group.records.all_records()
+            with pytest.raises(VersionConflict):
+                client.put(d, payload + 1)
+            assert group.records.all_records() == [rec]
+            assert not unsettled(group)
+            group.health.mark_down(1)
+            np.testing.assert_array_equal(client.get(d), payload)
+        finally:
+            group.close()
+
+
+class TestProtectedPutUnwinds:
+    def test_exception_between_the_rounds_abandons_what_was_begun(self, monkeypatch):
+        """An error that is not a staging error (a bug in encode, an
+        interrupt) escapes with the data round in flight: every pending call
+        is abandoned and every slab returned, no record is registered, and
+        the client is usable."""
+        group, client = make_group("shm", protection=RS2)
+        try:
+            d = _desc()
+            client.put(d, make_payload(d))  # warm
+            with monkeypatch.context() as patched:
+
+                def broken(self, data):
+                    raise RuntimeError("encode bug")
+
+                patched.setattr(RSCode, "encode_parity", broken)
+                with pytest.raises(RuntimeError, match="encode bug"):
+                    client.put(_desc(1), make_payload(_desc(1)))
+            assert not unsettled(group)
+            assert group.records.for_key("field", 1) == []
+            d2 = _desc(2)
+            client.put(d2, make_payload(d2))
+            np.testing.assert_array_equal(client.get(d2), make_payload(d2))
+            assert not unsettled(group)
+        finally:
+            group.close()

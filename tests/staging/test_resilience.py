@@ -9,6 +9,7 @@ from repro.descriptors import ObjectDescriptor
 from repro.errors import ConfigError, ObjectNotFound
 from repro.faults import FaultPlan, inject_faults
 from repro.geometry import BBox, Domain
+from repro.obs import get_registry
 from repro.staging import (
     GroupHealth,
     ProtectionConfig,
@@ -16,6 +17,7 @@ from repro.staging import (
     RetryPolicy,
     StagingClient,
     StagingGroup,
+    resilience,
 )
 from repro.staging.resilience import PutRecord, ShardInfo
 
@@ -236,3 +238,42 @@ class TestRebuild:
         group.drop_protection()
         np.testing.assert_array_equal(direct.get(DESC.with_version(2)), DATA * 2)
         assert rebuilt > 0
+
+    def test_rebuild_says_where_its_time_went(self):
+        group, client = protected()
+        client.put(DESC, DATA)
+        group.health.mark_down(2)
+        stages = [
+            get_registry().histogram(f"staging.rebuild.{stage}.seconds")
+            for stage in ("provision", "fetch", "decode", "store")
+        ]
+        total = get_registry().histogram("staging.rebuild.seconds")
+        before = [h.count for h in stages], total.total, sum(h.total for h in stages)
+        assert group.rebuild(2, parallel=False) > 0
+        assert [h.count for h in stages] == [n + 1 for n in before[0]]
+        # Serial rebuild: the stages are disjoint slices of the whole.
+        assert sum(h.total for h in stages) - before[2] <= total.total - before[1]
+
+    @pytest.mark.parametrize("verify_reads", [True, False])
+    def test_rebuild_hashes_each_stored_shard_exactly_once(self, monkeypatch, verify_reads):
+        """A copy re-placed on the replacement was read from its shard's
+        owner: with ``verify_reads`` the fetch held it to its digest and the
+        store must not hash it again; without, the store still must."""
+        group, client = protected(
+            protection=ProtectionConfig(
+                mode="replication", replicas=1, verify_reads=verify_reads
+            )
+        )
+        client.put(DESC, DATA)
+        (rec,) = group.records.all_records()
+        lost = rec.copies[0][0]  # holds shard 0's copy (and its own shard)
+        group.health.mark_down(lost)
+        hashed = []
+        digest = resilience._digest
+        monkeypatch.setattr(
+            resilience, "_digest", lambda buf: hashed.append(buf) or digest(buf)
+        )
+        assert group.rebuild(lost, parallel=False) > 0
+        shard0 = [buf for buf in hashed if digest(buf) == rec.shards[0].digest]
+        assert len(shard0) == 1
+

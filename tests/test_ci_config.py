@@ -27,6 +27,7 @@ class TestWorkflowShape:
             "kernels",
             "transport",
             "bench-guard",
+            "bench-e2e-smoke",
             "nightly-soak",
         }
 
@@ -68,6 +69,13 @@ class TestWorkflowShape:
         paths = uploads[0]["with"]["path"]
         assert "BENCH_micro.json" in paths
         assert "obs_snapshot.json" in paths
+
+    def test_bench_e2e_smoke_is_advisory_and_runs_the_resilience_workload(self, workflow):
+        job = workflow["jobs"]["bench-e2e-smoke"]
+        assert job["continue-on-error"] is True
+        runs = [s.get("run", "") for s in job["steps"]]
+        assert any("pytest bench_e2e" in r for r in runs)
+        assert any("bench_e2e.run selfcheck --workload rs-shm-kill" in r for r in runs)
 
     def test_transport_job_is_a_tcp_shm_matrix(self, workflow):
         job = workflow["jobs"]["transport"]
