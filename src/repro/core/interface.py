@@ -21,6 +21,7 @@ consistency-unsafe) comparison point, selected with ``enable_logging=False``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -31,13 +32,7 @@ from repro.core.event_queue import EventQueue, ReplayScript
 from repro.core.events import EventKind, WChkId, payload_digest
 from repro.core.garbage import GarbageCollector, GCReport
 from repro.descriptors.odsc import ObjectDescriptor
-from repro.errors import (
-    ObjectNotFound,
-    ReplayError,
-    ServerUnavailable,
-    StagingError,
-    TransientServerError,
-)
+from repro.errors import ObjectNotFound, ReplayError, StagingError
 from repro.obs import registry as _obs
 from repro.obs import trace as _trace
 from repro.staging.client import StagingClient, StagingGroup
@@ -82,10 +77,13 @@ class GetPlan:
     Produced by :meth:`WorkflowStaging.plan_get` under the service's
     metadata lock; the payload fetch then runs outside it (per-server locks
     only) and the outcome is recorded by the matching commit method.
+    ``retain`` is the non-logged retention the fetch carries (see
+    :meth:`WorkflowStaging.put_retention`).
     """
 
     version: int
     replayed: bool
+    retain: tuple[str, float] | None = None
 
 
 class WorkflowStaging:
@@ -112,7 +110,8 @@ class WorkflowStaging:
         self.group = group
         self.enable_logging = enable_logging
         self.auto_gc = auto_gc
-        # Optional hook (set by the runtime layer): given a variable name,
+        # Optional hook (set by the runtime layer): given a variable name —
+        # and optionally a reader and a version, counted as already read —
         # return the lowest version some consumer has not yet read, or None
         # when unknown. Non-logged retention then keeps unconsumed versions
         # instead of blindly keeping only the latest.
@@ -220,10 +219,67 @@ class WorkflowStaging:
         _SUPPRESSED_PUTS.inc()
         return PutResult(desc=desc, stored=False, suppressed=True, shards=0)
 
+    # ------------------------------------------------------------ retention
+    #
+    # Original DataSpaces retention (non-logged mode) drops the versions
+    # every consumer has read. The floor is decided in an op's plan phase
+    # and travels with the op's own data calls as ``retain=(name, floor)``:
+    # each server evicts below ``min(floor, latest)`` after serving, in the
+    # same lock hold, and the live servers the op does not touch get an
+    # ``evict_consumed`` in the same round (``StagingClient.retention_calls``).
+    # Protection records are trimmed to the same floor at commit.
+
+    def put_retention(self, name: str) -> tuple[str, float] | None:
+        """Plan phase of a live put: the retention its data calls carry.
+
+        None when logging (the GC owns retention). Without a frontier the
+        floor is +inf — latest-only, the write-immediately-followed-by-read
+        pattern of the paper.
+        """
+        if self.enable_logging:
+            return None
+        floor = self.frontier_source(name) if self.frontier_source is not None else None
+        return (name, math.inf if floor is None else floor)
+
+    def _get_retention(
+        self, component: str, name: str, version: int
+    ) -> tuple[str, float] | None:
+        """Plan phase of a live get of ``version``: the floor as if
+        ``component`` had already read it. None when logging or when there
+        is no frontier to go by."""
+        if self.enable_logging or self.frontier_source is None:
+            return None
+        floor = self.frontier_source(name, component, version)
+        if floor is None:
+            return None
+        if self.group.protection is not None:
+            # A degraded decode of `version` may still need its parity from
+            # servers the read round has already answered: a protected read
+            # leaves the version it reads for the next op to drop.
+            floor = min(floor, version)
+        return (name, floor)
+
+    def _trim_records(self, retain: tuple[str, float] | None) -> None:
+        """Protection records follow the servers' retention floor, so a
+        degraded read never resurrects an evicted version."""
+        if retain is None:
+            return
+        name, floor = retain
+        versions = self.group.records.versions(name)
+        if versions:
+            self.group.records.evict_older_than(name, min(floor, versions[-1]))
+
     def commit_put(
-        self, component: str, desc: ObjectDescriptor, digest: str, step: int, shards: int
+        self,
+        component: str,
+        desc: ObjectDescriptor,
+        digest: str,
+        step: int,
+        shards: int,
+        retain: tuple[str, float] | None = None,
     ) -> PutResult:
-        """Metadata-commit phase of a live put: log the event, apply retention.
+        """Metadata-commit phase of a live put: log the event, or trim the
+        protection records to the ``retain`` the data phase carried.
 
         ``digest`` is computed by the caller during the data phase so the
         hash never runs under the metadata lock (it is ignored when logging
@@ -240,53 +296,8 @@ class WorkflowStaging:
                 step=step,
             )
         else:
-            # Original DataSpaces retention: consumed versions are dropped.
-            # Without a frontier source this degrades to latest-only (the
-            # write-immediately-followed-by-read pattern of the paper).
-            floor = None
-            if self.frontier_source is not None:
-                floor = self.frontier_source(desc.name)
-            if floor is None:
-                self._retain("keep_only_latest", (desc.name,))
-                self._trim_records_latest(desc.name)
-            else:
-                self.drop_consumed(desc.name, floor)
+            self._trim_records(retain)
         return PutResult(desc=desc, stored=True, suppressed=False, shards=shards)
-
-    def drop_consumed(self, name: str, floor: int) -> None:
-        """Non-logged retention: evict versions every consumer has read.
-
-        The latest version is always kept even when fully consumed, so the
-        stale-latest fallback keeps something to serve, and protection
-        records follow the same floor so degraded reads never resurrect an
-        evicted version.
-        """
-        self._retain("evict_consumed", (name, floor))
-        rec_versions = self.group.records.versions(name)
-        if rec_versions:
-            self.group.records.evict_older_than(name, min(floor, rec_versions[-1]))
-
-    def _retain(self, op: str, args: tuple) -> None:
-        """Apply one retention op on every server — a single overlapped
-        round over the wire. Best effort, one attempt each: unreachable
-        servers are skipped, their memory cannot be reclaimed by asking
-        nicely."""
-        calls = [(server.server_id, op, args) for server in self.group.servers]
-        begun = self._client.begin_all(calls)
-        try:
-            for call, pending in zip(calls, begun):
-                try:
-                    self._client.attempt(call, pending)
-                except (ServerUnavailable, TransientServerError):
-                    continue
-        finally:
-            self._client.abandon_all(begun)
-
-    def _trim_records_latest(self, name: str) -> None:
-        """Latest-only retention for protection records (non-logged mode)."""
-        versions = self.group.records.versions(name)
-        for v in versions[:-1]:
-            self.group.records.evict(name, v)
 
     def handle_put(
         self, component: str, desc: ObjectDescriptor, data: np.ndarray, step: int
@@ -304,9 +315,10 @@ class WorkflowStaging:
         suppressed = self.suppress_replayed_put(component, desc, data)
         if suppressed is not None:
             return suppressed
-        shards = self._client.put(desc, data)
+        retain = self.put_retention(desc.name)
+        shards = self._client.put(desc, data, retain)
         digest = payload_digest(data) if self.enable_logging else ""
-        return self.commit_put(component, desc, digest, step, shards)
+        return self.commit_put(component, desc, digest, step, shards, retain)
 
     # ------------------------------------------------------------------ get
 
@@ -321,15 +333,15 @@ class WorkflowStaging:
         exact inconsistency of the paper's Figure 2 case 1, kept here so the
         ``In`` baseline demonstrably returns wrong data.
         """
-        replayed = False
         if self.enable_logging and self.in_replay(component):
             self._check_replay_get(component, desc)
             data = self._client.get(desc)
             return self.commit_replayed_get(component, desc, data, payload_digest(data))
 
         served_version = desc.version
+        retain = self._get_retention(component, desc.name, served_version)
         try:
-            data = self._client.get(desc)
+            data = self._client.get(desc, retain)
         except ObjectNotFound:
             if self.enable_logging:
                 raise
@@ -337,10 +349,11 @@ class WorkflowStaging:
             if latest is None:
                 raise
             served_version = latest
-            data = self._client.get(desc.with_version(latest))
+            retain = self._get_retention(component, desc.name, latest)
+            data = self._client.get(desc.with_version(latest), retain)
         digest = payload_digest(data)
         return self.commit_get(
-            component, desc, data, digest, served_version, step, replayed=replayed
+            component, desc, data, digest, served_version, step, retain=retain
         )
 
     def _check_replay_get(self, component: str, desc: ObjectDescriptor) -> None:
@@ -365,18 +378,31 @@ class WorkflowStaging:
             self._check_replay_get(component, desc)
             return GetPlan(version=desc.version, replayed=True)
         if self._client.covers(desc):
-            return GetPlan(version=desc.version, replayed=False)
-        if not self.enable_logging:
-            latest = self._client.latest_version(desc.name)
-            if latest is not None and latest >= desc.version:
-                return GetPlan(version=latest, replayed=False)
-        return None
+            version = desc.version
+        elif not self.enable_logging and (
+            (latest := self._client.latest_version(desc.name)) is not None
+            and latest >= desc.version
+        ):
+            version = latest
+        else:
+            return None
+        return GetPlan(
+            version=version,
+            replayed=False,
+            retain=self._get_retention(component, desc.name, version),
+        )
 
-    def fetch_get(self, desc: ObjectDescriptor, version: int) -> np.ndarray:
-        """Data phase: assemble the payload (per-server locks only)."""
+    def fetch_get(
+        self,
+        desc: ObjectDescriptor,
+        version: int,
+        retain: tuple[str, float] | None = None,
+    ) -> np.ndarray:
+        """Data phase: assemble the payload (per-server locks only),
+        applying the plan's ``retain``."""
         if version == desc.version:
-            return self._client.get(desc)
-        return self._client.get(desc.with_version(version))
+            return self._client.get(desc, retain)
+        return self._client.get(desc.with_version(version), retain)
 
     def commit_replayed_get(
         self, component: str, desc: ObjectDescriptor, data: np.ndarray, digest: str
@@ -407,18 +433,21 @@ class WorkflowStaging:
         digest: str,
         served_version: int,
         step: int,
-        replayed: bool = False,
+        retain: tuple[str, float] | None = None,
     ) -> GetResult:
-        """Metadata-commit phase of a live get: record the event and access."""
+        """Metadata-commit phase of a live get: record the event and access,
+        or trim the protection records to the ``retain`` the fetch carried."""
         if self.enable_logging:
             queue = self._queue(component)
             queue.record_data(EventKind.GET, desc, digest, step)
             self.log.record_get(desc.name, component, served_version)
+        else:
+            self._trim_records(retain)
         return GetResult(
             desc=desc,
             data=data,
             served_version=served_version,
-            replayed=replayed,
+            replayed=False,
             digest=digest,
         )
 

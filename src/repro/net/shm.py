@@ -503,16 +503,15 @@ def expected_response_bytes(op: str, args: tuple) -> int:
     """Upper-ish bound on an op's bulk response payload, from its request.
 
     Only ops whose response geometry is fully determined by the request
-    (``get``/``get_many``: bbox shape × dtype itemsize) are sized; anything
-    else returns 0 → no grant → the reply rides the wire.
+    (``get``/``get_many``: bbox shape × dtype itemsize of the descriptors
+    in ``args[0]``) are sized; anything else returns 0 → no grant → the
+    reply rides the wire.
     """
     try:
         if op == "get":
-            (desc,) = args
-            return _desc_nbytes(desc) + _ALIGN
+            return _desc_nbytes(args[0]) + _ALIGN
         if op == "get_many":
-            (descs,) = args
-            return sum(_desc_nbytes(d) + _ALIGN for d in descs)
+            return sum(_desc_nbytes(d) + _ALIGN for d in args[0])
     except Exception:
         return 0
     return 0

@@ -259,17 +259,19 @@ class Dispatcher:
         array lands in the slab (the store assembles fragments straight
         into shared memory — the server-side copy disappears) or the op
         runs unchanged and its reply takes the ordinary encode path.
+        Arguments after the descriptors (a ``get_many``'s ``retain``) pass
+        through untouched.
         """
         if sink is not None and op in ("get", "get_many"):
             mark = sink.mark()
             try:
                 if op == "get":
-                    (desc,) = args
+                    desc = args[0]
                     out = sink.reserve(desc.bbox.shape, desc.dtype)
                     if out is not None:
-                        return self.server.get(desc, out=out)
+                        return self.server.get(*args, out=out)
                 else:
-                    (descs,) = args
+                    descs = args[0]
                     outs = []
                     for desc in descs:
                         dest = sink.reserve(desc.bbox.shape, desc.dtype)
@@ -277,7 +279,7 @@ class Dispatcher:
                             break
                         outs.append(dest)
                     if len(outs) == len(descs):
-                        return self.server.get_many(descs, outs=outs)
+                        return self.server.get_many(*args, outs=outs)
                 sink.rollback(mark)
             except (AttributeError, TypeError, ValueError):
                 # Malformed descriptors: let the plain path raise the

@@ -323,19 +323,28 @@ class SynchronizedStaging:
         with self._meta:
             self._retired.discard(consumer)
 
-    def _min_frontier(self, name: str) -> int | None:
-        """Slowest active consumer's read frontier (None: no active consumers)."""
+    def _min_frontier(
+        self, name: str, reader: str | None = None, version: int = -1
+    ) -> int | None:
+        """Slowest active consumer's read frontier (None: no active
+        consumers), counting ``reader`` as having read ``version``."""
         consumers = self._flow_consumers.get(name)
         if not consumers:
             return None
         active = [c for c in consumers if c not in self._retired]
         if not active:
             return None
-        return min(self._frontier.get((name, c), -1) for c in active)
+        return min(
+            max(self._frontier.get((name, c), -1), version if c == reader else -1)
+            for c in active
+        )
 
-    def _unconsumed_floor(self, name: str) -> int | None:
-        """Lowest version not yet read by every consumer (retention floor)."""
-        frontier = self._min_frontier(name)
+    def _unconsumed_floor(
+        self, name: str, reader: str | None = None, version: int = -1
+    ) -> int | None:
+        """Lowest version not yet read by every consumer (retention floor);
+        a get plans its floor as if its ``reader`` had read ``version``."""
+        frontier = self._min_frontier(name, reader, version)
         return None if frontier is None else frontier + 1
 
     # ------------------------------------------------------------------ put
@@ -392,17 +401,20 @@ class SynchronizedStaging:
                 result = self.staging.handle_put(component, desc, data, step)
                 self._data_arrived.notify_all()
                 return result
+            retain = self.staging.put_retention(desc.name)
             self._begin_data_phase()
         # ---- data phase: payload moves under per-server locks only -------
         try:
-            shards = self.staging.client.put(desc, data)
+            shards = self.staging.client.put(desc, data, retain)
             digest = payload_digest(data) if self.staging.enable_logging else ""
         except BaseException:
             self._abort_data_phase()
             raise
         with self._meta:
             self._end_data_phase()
-            result = self.staging.commit_put(component, desc, digest, step, shards)
+            result = self.staging.commit_put(
+                component, desc, digest, step, shards, retain
+            )
             self._data_arrived.notify_all()
             return result
 
@@ -471,7 +483,7 @@ class SynchronizedStaging:
                     self._data_arrived.wait(timeout=self.poll_timeout)
             # ---- data phase: assemble payload under per-server locks -----
             try:
-                data = self.staging.fetch_get(desc, plan.version)
+                data = self.staging.fetch_get(desc, plan.version, plan.retain)
                 digest = payload_digest(data)
             except ObjectNotFound:
                 # Planned version vanished mid-fetch (eviction/rollback race);
@@ -490,7 +502,7 @@ class SynchronizedStaging:
                     )
                 else:
                     result = self.staging.commit_get(
-                        component, desc, data, digest, plan.version, step
+                        component, desc, data, digest, plan.version, step, plan.retain
                     )
                 if waited:
                     _BLOCKING_WAIT_SECONDS.record(time.monotonic() - t_start)
@@ -523,19 +535,17 @@ class SynchronizedStaging:
         self, component: str, desc: ObjectDescriptor, result: GetResult
     ) -> None:
         """Advance the consumer's frontier; wake producers it may unblock
-        (caller holds ``_meta``)."""
+        (caller holds ``_meta``).
+
+        Non-logged retention needs nothing here: the get already dropped the
+        versions this read consumed, on the servers, as it served them (its
+        plan counted this frontier advance in). That keeps the eviction
+        point at read time whatever the producer/consumer interleaving — the
+        ``In`` baseline's inconsistency demonstration depends on it.
+        """
         key = (desc.name, component)
         self._frontier[key] = max(self._frontier.get(key, -1), result.served_version)
         self._frontier_dirty[key] = self._frontier[key]
-        if not self.staging.enable_logging:
-            # Original-DataSpaces retention drops consumed versions at read
-            # time, not only at the producer's next put: this keeps the
-            # eviction point deterministic regardless of how producer and
-            # consumer interleave (the ``In`` baseline's inconsistency
-            # demonstration depends on it).
-            floor = self._unconsumed_floor(desc.name)
-            if floor is not None:
-                self.staging.drop_consumed(desc.name, floor)
         self._data_arrived.notify_all()
 
     # ---------------------------------------------------- workflow interface

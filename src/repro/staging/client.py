@@ -410,7 +410,12 @@ class StagingClient:
         return values
 
     def fan_out(
-        self, calls: list[tuple[int, str, tuple]], checks=None, unreachable=_RAISE, absent=_RAISE
+        self,
+        calls: list[tuple[int, str, tuple]],
+        checks=None,
+        unreachable=_RAISE,
+        absent=_RAISE,
+        retention=(),
     ) -> list:
         """One logical op across servers: the values of ``(server_id, op,
         args)`` calls, in call order.
@@ -418,19 +423,66 @@ class StagingClient:
         Over the wire every call is in flight before the first reply is
         awaited (:meth:`begin_all`); only the waiting overlaps — each call
         is settled, and the other arguments used, as :meth:`settle_all` says.
+        ``retention`` calls (:meth:`retention_calls`) leave in the same round
+        and are settled by :meth:`settle_retention`.
         """
-        pending = self.begin_all(calls)
+        pending = self.begin_all([*calls, *retention])
         try:
-            return self.settle_all(calls, pending, checks, unreachable, absent)
+            values = self.settle_all(calls, pending, checks, unreachable, absent)
+            self.settle_retention(retention, pending[len(calls) :])
+            return values
         finally:
             # A no-op unless something other than a staging error escaped
             # (an interrupt, a bug) and left calls unsettled.
             self.abandon_all(pending)
 
+    # ------------------------------------------------------------ retention
+    #
+    # Non-logged retention (``retain=(name, floor)``: evict the versions of
+    # ``name`` below ``min(floor, latest)``) rides the data calls a put or
+    # get already makes — the server applies it after serving, in the same
+    # lock hold — and reaches the live servers those calls miss as an
+    # ``evict_consumed`` issued alongside them. It never costs a round.
+
+    @staticmethod
+    def data_args(first, retain) -> tuple:
+        """A ``put_many`` / ``get_many`` argument tuple: ``retain`` is sent
+        only when set, so a logged op's frames are unchanged."""
+        return (first,) if retain is None else (first, retain)
+
+    def retention_calls(self, retain, reached) -> list[tuple[int, str, tuple]]:
+        """``evict_consumed`` calls carrying ``retain`` to every live server
+        not in ``reached`` (the servers the op's data calls go to)."""
+        if retain is None:
+            return []
+        health = self.group.health
+        return [
+            (server.server_id, "evict_consumed", retain)
+            for server in self.group.servers
+            if server.server_id not in reached and not health.is_down(server.server_id)
+        ]
+
+    def settle_retention(self, calls, pending) -> None:
+        """Settle :meth:`retention_calls` (``pending`` from :meth:`begin_all`).
+        Best effort, one attempt each, no health change: a server that is
+        unreachable keeps its consumed versions until a later op reaches it."""
+        for call, first in zip(calls, pending):
+            try:
+                self.attempt(call, first)
+            except (ServerUnavailable, TransientServerError):
+                continue
+
+    def _retain_rest(self, retain, reached) -> None:
+        """The retention calls on their own, after the op's data calls:
+        inproc, where there is no round to join."""
+        if retain is not None:
+            self.fan_out([], retention=self.retention_calls(retain, reached))
+
     # ------------------------------------------------------------------ put
 
-    def put(self, desc: ObjectDescriptor, data: np.ndarray) -> int:
-        """Scatter ``data`` (covering ``desc.bbox``) to owning servers.
+    def put(self, desc: ObjectDescriptor, data: np.ndarray, retain=None) -> int:
+        """Scatter ``data`` (covering ``desc.bbox``) to owning servers,
+        applying ``retain`` (see :meth:`retention_calls`) on every live one.
 
         Returns the number of server shards written.
         """
@@ -439,27 +491,34 @@ class StagingClient:
         shards = self.group.placement.shards(desc.bbox)
         by_server = self._by_server(shards)
         if self.group.protection is not None:
-            protected_put(self, desc, data, by_server)
+            protected_put(self, desc, data, by_server, retain)
         elif self.group.transport.remote:
             self.fan_out(
                 [
-                    (server_id, "put_many", (self._shards_of(boxes, desc, data),))
+                    (
+                        server_id,
+                        "put_many",
+                        self.data_args(self._shards_of(boxes, desc, data), retain),
+                    )
                     for server_id, boxes in by_server.items()
-                ]
+                ],
+                retention=self.retention_calls(retain, by_server),
             )
         elif not self._use_pool(by_server, int(data.nbytes)):
             for server_id, boxes in by_server.items():
-                self._scatter_to(server_id, boxes, desc, data)
+                self._scatter_to(server_id, boxes, desc, data, retain)
+            self._retain_rest(retain, by_server)
         else:
             _POOL_PARALLEL_OPS.inc()
             _POOL_TASKS.inc(len(by_server))
             pool = self.group.executor
             _await_all(
                 [
-                    pool.submit(self._scatter_to, server_id, boxes, desc, data)
+                    pool.submit(self._scatter_to, server_id, boxes, desc, data, retain)
                     for server_id, boxes in by_server.items()
                 ]
             )
+            self._retain_rest(retain, by_server)
         _PUT_COUNT.inc()
         _PUT_FANOUT.record(len(shards))
         _PUT_SECONDS.record(perf_counter() - t0)
@@ -470,17 +529,27 @@ class StagingClient:
         return [(desc.with_bbox(sub), data[sub.slices(desc.bbox)]) for sub in boxes]
 
     def _scatter_to(
-        self, server_id: int, boxes: list[BBox], desc: ObjectDescriptor, data: np.ndarray
+        self,
+        server_id: int,
+        boxes: list[BBox],
+        desc: ObjectDescriptor,
+        data: np.ndarray,
+        retain=None,
     ) -> None:
-        shards = self._shards_of(boxes, desc, data)
+        args = self.data_args(self._shards_of(boxes, desc, data), retain)
         self._server_op(
-            server_id, lambda: self.group.servers[server_id].put_many(shards)
+            server_id, lambda: self.group.servers[server_id].put_many(*args)
         )
 
     # ------------------------------------------------------------------ get
 
-    def get(self, desc: ObjectDescriptor) -> np.ndarray:
-        """Gather ``desc.bbox`` from owning servers and assemble it."""
+    def get(self, desc: ObjectDescriptor, retain=None) -> np.ndarray:
+        """Gather ``desc.bbox`` from owning servers and assemble it, applying
+        ``retain`` (see :meth:`retention_calls`) on every live server once
+        the region is served — the floor may reach ``desc.version`` itself.
+        A protected group's degraded decode may still need that version's
+        parity from servers already answered, so there the caller keeps the
+        floor at or below ``desc.version``."""
         t0 = perf_counter()
         shards = self.group.placement.shards(desc.bbox)
         if not shards:
@@ -488,20 +557,26 @@ class StagingClient:
         out = np.empty(desc.bbox.shape, dtype=np.dtype(desc.dtype))
         by_server = self._by_server(shards)
         if self.group.protection is not None:
-            self._protected_get(desc, out)
+            self._protected_get(desc, out, retain)
         elif self.group.transport.remote:
             gathered = self.fan_out(
                 [
-                    (server_id, "get_many", ([desc.with_bbox(sub) for sub in boxes],))
+                    (
+                        server_id,
+                        "get_many",
+                        self.data_args([desc.with_bbox(sub) for sub in boxes], retain),
+                    )
                     for server_id, boxes in by_server.items()
-                ]
+                ],
+                retention=self.retention_calls(retain, by_server),
             )
             for boxes, parts in zip(by_server.values(), gathered):
                 for sub, part in zip(boxes, parts):
                     out[sub.slices(desc.bbox)] = part
         elif not self._use_pool(by_server, int(out.nbytes)):
             for server_id, boxes in by_server.items():
-                self._gather_from(server_id, boxes, desc, out)
+                self._gather_from(server_id, boxes, desc, out, retain)
+            self._retain_rest(retain, by_server)
         else:
             _POOL_PARALLEL_OPS.inc()
             _POOL_TASKS.inc(len(by_server))
@@ -510,25 +585,31 @@ class StagingClient:
             # on the buffer is needed.
             _await_all(
                 [
-                    pool.submit(self._gather_from, server_id, boxes, desc, out)
+                    pool.submit(self._gather_from, server_id, boxes, desc, out, retain)
                     for server_id, boxes in by_server.items()
                 ]
             )
+            self._retain_rest(retain, by_server)
         _GET_COUNT.inc()
         _GET_SECONDS.record(perf_counter() - t0)
         return out
 
     def _gather_from(
-        self, server_id: int, boxes: list[BBox], desc: ObjectDescriptor, out: np.ndarray
+        self,
+        server_id: int,
+        boxes: list[BBox],
+        desc: ObjectDescriptor,
+        out: np.ndarray,
+        retain=None,
     ) -> None:
-        descs = [desc.with_bbox(sub) for sub in boxes]
+        args = self.data_args([desc.with_bbox(sub) for sub in boxes], retain)
         parts = self._server_op(
-            server_id, lambda: self.group.servers[server_id].get_many(descs)
+            server_id, lambda: self.group.servers[server_id].get_many(*args)
         )
         for sub, part in zip(boxes, parts):
             out[sub.slices(desc.bbox)] = part
 
-    def _protected_get(self, desc: ObjectDescriptor, out: np.ndarray) -> None:
+    def _protected_get(self, desc: ObjectDescriptor, out: np.ndarray, retain) -> None:
         """Serve a read through protection records (verified, degraded-capable).
 
         A concurrent protected put registers its record once its last call
@@ -547,7 +628,7 @@ class StagingClient:
         attempt = 1
         while True:
             try:
-                self._protected_get_once(desc, out)
+                self._protected_get_once(desc, out, retain)
                 return
             except ServerUnavailable:
                 if attempt >= policy.max_attempts:
@@ -560,17 +641,22 @@ class StagingClient:
                 time.sleep(delay)
                 attempt += 1
 
-    def _protected_get_once(self, desc: ObjectDescriptor, out: np.ndarray) -> None:
+    def _protected_get_once(
+        self, desc: ObjectDescriptor, out: np.ndarray, retain
+    ) -> None:
         """One pass of the record scan + direct fallback.
 
         Regions covered by a put's record are read shard-aligned so every
         shard is digest-checked and lost servers are reconstructed around;
         any leftover region (data written before protection was enabled)
         falls back to the direct geometric path under the retry policy.
+        ``retain`` rides the first record's shard round; a read served by
+        the fallback alone applies it after, in a round of its own.
         """
         remaining: list[BBox] = [desc.bbox]
         for rec in self.group.records.overlapping(desc):
-            read_record(self, rec, desc, out)
+            read_record(self, rec, desc, out, retain)
+            retain = None
             remaining = [
                 piece for r in remaining for piece in r.subtract(rec.desc.bbox)
             ]
@@ -585,6 +671,7 @@ class StagingClient:
                 self._gather_from(
                     server_id, boxes, sub_desc, out[region.slices(desc.bbox)]
                 )
+        self._retain_rest(retain, ())
 
     def covers(self, desc: ObjectDescriptor) -> bool:
         """True when ``desc`` is servable — directly, or degraded via records.

@@ -524,6 +524,7 @@ def protected_put(
     desc: ObjectDescriptor,
     data: np.ndarray,
     by_server: dict[int, list[BBox]],
+    retain=None,
 ) -> None:
     """Scatter a put's data shards and place its parity/copies.
 
@@ -547,7 +548,8 @@ def protected_put(
     in flight, all are settled; a blob whose holder proved unreachable goes
     to its family's next candidate, one synchronous call at a time.
     In-process servers have no begin half: the same code makes the same
-    calls, in the same order, at settle.
+    calls, in the same order, at settle. ``retain`` rides the data round
+    (``StagingClient.retention_calls``).
     """
     group = client.group
     cfg = group.protection
@@ -568,12 +570,16 @@ def protected_put(
         (
             data_servers[i],
             "put_many",
-            ([(desc.with_bbox(b), data[b.slices(desc.bbox)]) for b in boxes[i]],),
+            client.data_args(
+                [(desc.with_bbox(b), data[b.slices(desc.bbox)]) for b in boxes[i]],
+                retain,
+            ),
         )
         for i in live
     ]
+    retention = client.retention_calls(retain, {data_servers[i] for i in live})
     digests: dict[tuple[int, int], str] = {}  # parity digests by (group, j)
-    pending = client.begin_all(calls)
+    pending = client.begin_all(calls + retention)
     try:
         bufs = [_shard_buffer(desc, data, b) for b in boxes]
         infos = [
@@ -583,6 +589,7 @@ def protected_put(
         shard_len = max((b.size for b in bufs), default=1) or 1
         families = _blob_families(cfg, record_id, data_servers, bufs, shard_len, groups)
         stored = client.settle_all(calls, pending, unreachable=False)
+        client.settle_retention(retention, pending[len(calls) :])
 
         blobs: list[tuple] = []  # (tag, spare holders, put_blob call) per begun blob
         for owners, family in families:
@@ -687,15 +694,19 @@ def _verified(group: "StagingGroup", rec: PutRecord, read: tuple, reply) -> np.n
     return buf
 
 
-def _read_round(client: "StagingClient", rec: PutRecord, reads: list[tuple]) -> list:
+def _read_round(
+    client: "StagingClient", rec: PutRecord, reads: list[tuple], retention=()
+) -> list:
     """One overlapped round of digest-checked reads ``(server, op, args,
     digest, what)``: per read its verified bytes — ``None`` where the server
-    stayed unreachable, ``False`` where it answered that it holds none."""
+    stayed unreachable, ``False`` where it answered that it holds none.
+    ``retention`` calls join the round (``StagingClient.fan_out``)."""
     return client.fan_out(
         [read[:3] for read in reads],
         [partial(_verified, client.group, rec, read) for read in reads],
         unreachable=None,
         absent=False,
+        retention=retention,
     )
 
 
@@ -729,22 +740,30 @@ def _fetch_shards(
     bufs: dict[int, np.ndarray],
     erased: set[int],
     absent: set[int] | None = None,
+    retain=None,
 ) -> None:
     """Fetch data shards ``indices`` into ``bufs``, digest-verified, in one
     overlapped round; the ones lost to server faults (a down owner, an
     exhausted retry budget) land in ``erased``. Shards a healthy server
     simply does not hold (absent ≠ lost) raise :class:`ObjectNotFound`,
     unless the caller collects them in ``absent``. Already fetched or erased
-    shards are skipped."""
+    shards are skipped. ``retain`` rides the round."""
     health = client.group.health
     todo = [i for i in indices if i not in bufs and i not in erased]
     erased.update(i for i in todo if health.is_down(rec.shards[i].server))
     todo = [i for i in todo if i not in erased]
     reads = [
-        (si.server, "get_many", ([rec.desc.with_bbox(b) for b in si.boxes],), si.digest, "shard")
+        (
+            si.server,
+            "get_many",
+            client.data_args([rec.desc.with_bbox(b) for b in si.boxes], retain),
+            si.digest,
+            "shard",
+        )
         for si in (rec.shards[i] for i in todo)
     ]
-    for i, got in zip(todo, _read_round(client, rec, reads)):
+    retention = client.retention_calls(retain, {read[0] for read in reads})
+    for i, got in zip(todo, _read_round(client, rec, reads, retention)):
         if got is None:
             erased.add(i)
         elif got is not False:
@@ -954,8 +973,10 @@ def read_record(
     rec: PutRecord,
     desc: ObjectDescriptor,
     out: np.ndarray,
+    retain=None,
 ) -> bool:
-    """Serve ``rec.desc.bbox ∩ desc.bbox`` into ``out``; True if degraded."""
+    """Serve ``rec.desc.bbox ∩ desc.bbox`` into ``out``; True if degraded.
+    ``retain`` rides the shard round."""
     need = rec.desc.bbox.intersect(desc.bbox)
     if need is None:
         return False
@@ -965,7 +986,7 @@ def read_record(
     ]
     bufs: dict[int, np.ndarray] = {}
     erased: set[int] = set()
-    _fetch_shards(client, rec, needed, bufs, erased)
+    _fetch_shards(client, rec, needed, bufs, erased, retain=retain)
     if erased:
         t0 = perf_counter()
         bufs.update(_reconstruct(client, rec, bufs, erased))

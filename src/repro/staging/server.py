@@ -143,17 +143,23 @@ class StagingServer:
         return obj
 
     def put_many(
-        self, items: list[tuple[ObjectDescriptor, np.ndarray]]
+        self,
+        items: list[tuple[ObjectDescriptor, np.ndarray]],
+        retain: tuple[str, float] | None = None,
     ) -> list[StoredObject]:
         """Store a batch of fragments under one lock acquisition.
 
         One request often lands several sub-boxes on the same server (a box
         overlapping many of that server's distribution blocks); batching
         amortises the lock round-trip and the metric updates across them.
+        ``retain=(name, floor)`` applies :meth:`evict_consumed` after the
+        store, in the same lock hold (non-logged retention riding the put).
         """
         t0 = perf_counter()
         with self.lock:
             objs = [self._put_locked(desc, data) for desc, data in items]
+            if retain is not None:
+                self.evict_consumed(*retain)
         _PUT_COUNT.inc(len(items))
         _PUT_BYTES.inc(sum(o.nbytes for o in objs))
         _PUT_SECONDS.record(perf_counter() - t0)
@@ -174,21 +180,29 @@ class StagingServer:
     def get_many(
         self,
         descs: list[ObjectDescriptor],
+        retain: tuple[str, float] | None = None,
         outs: list[np.ndarray] | None = None,
     ) -> list[np.ndarray]:
         """Assemble a batch of regions under one lock acquisition.
 
         ``outs``, when given, supplies one destination array per descriptor
-        (the shm transport's granted response segment).
+        (the shm transport's granted response segment). ``retain=(name,
+        floor)`` applies :meth:`evict_consumed` *after* the regions are
+        assembled, in the same lock hold: a read whose floor reaches the
+        version it reads still returns that version's bytes.
         """
         t0 = perf_counter()
         try:
             with self.lock:
                 if outs is None:
-                    return [self.store.get(desc) for desc in descs]
-                return [
-                    self.store.get(desc, out=out) for desc, out in zip(descs, outs)
-                ]
+                    parts = [self.store.get(desc) for desc in descs]
+                else:
+                    parts = [
+                        self.store.get(desc, out=out) for desc, out in zip(descs, outs)
+                    ]
+                if retain is not None:
+                    self.evict_consumed(*retain)
+                return parts
         finally:
             _GET_COUNT.inc(len(descs))
             _GET_SECONDS.record(perf_counter() - t0)
@@ -276,10 +290,11 @@ class StagingServer:
                     freed += self.evict(name, v)
             return freed
 
-    def evict_consumed(self, name: str, floor: int) -> int:
+    def evict_consumed(self, name: str, floor: float) -> int:
         """Non-logged retention: drop versions of ``name`` strictly below
         ``floor`` — except the newest, which is kept even when consumed so a
-        stale-latest read still has something to serve. Returns bytes."""
+        stale-latest read still has something to serve. ``floor=inf`` is
+        :meth:`keep_only_latest`. Returns bytes."""
         with self.lock:
             latest = self.store.latest_version(name)
             if latest is None:

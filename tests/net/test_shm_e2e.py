@@ -84,6 +84,54 @@ class TestRoundTrips:
         assert _counter("net.shm.grant_bytes") - grants >= payload.nbytes
         assert _counter("net.shm.wire_fallbacks") == fallbacks
 
+    def test_retaining_get_many_still_lands_in_the_grant(self, shm_group):
+        """A ``get_many`` carrying non-logged retention (``retain``) is still
+        granted a response slab, and the eviction runs after the serve."""
+        server = shm_group.servers[0]
+        box = BBox((0, 0, 0), (8, 8, 8))  # 4 KiB shards: segment-eligible
+        descs = [ObjectDescriptor("u", v, box) for v in range(3)]
+        for d in descs:
+            server.put_many([(d, make_payload(d))])
+        grants, fallbacks = (
+            _counter("net.shm.grant_bytes"),
+            _counter("net.shm.wire_fallbacks"),
+        )
+        got = server.get_many(descs[:1], ("u", float("inf")))
+        np.testing.assert_array_equal(got[0], make_payload(descs[0]))
+        assert _counter("net.shm.grant_bytes") > grants
+        assert _counter("net.shm.wire_fallbacks") == fallbacks
+        assert server.query_versions("u") == [2]
+
+    def test_dispatcher_gathers_a_retaining_get_many_into_the_sink(self):
+        """Server side of the same path: the granted reply is assembled in
+        the reserved slab views, whatever follows the descriptors."""
+        from repro.net.tcpserver import Dispatcher
+
+        class Sink:
+            def __init__(self):
+                self.reserved = []
+
+            def mark(self):
+                return len(self.reserved)
+
+            def rollback(self, mark):
+                del self.reserved[mark:]
+
+            def reserve(self, shape, dtype):
+                self.reserved.append(np.empty(shape, dtype))
+                return self.reserved[-1]
+
+        dispatcher = Dispatcher(0)
+        box = BBox((0, 0, 0), (4, 4, 4))
+        descs = [ObjectDescriptor("u", v, box) for v in range(2)]
+        for d in descs:
+            dispatcher.execute("put_many", ([(d, make_payload(d))],))
+        sink = Sink()
+        got = dispatcher._execute_granted("get_many", (descs[:1], ("u", 5)), sink)
+        assert got[0] is sink.reserved[0]
+        np.testing.assert_array_equal(got[0], make_payload(descs[0]))
+        assert dispatcher.server.query_versions("u") == [1]
+
     def test_subregion_get(self, shm_group):
         d = desc()
         payload = make_payload(d)

@@ -114,6 +114,19 @@ class TestWorkflowShape:
             "tests/runtime/test_parallel_recovery.py",
         ]
 
+    def test_transport_solo_step_runs_the_retention_fold_suites(self, workflow):
+        """Non-logged retention rides the put/get frames, so its suites run
+        over tcp and shm — reached through their directories in the list."""
+        steps = workflow["jobs"]["transport"]["steps"]
+        solo = next(s for s in steps if "solo" in s.get("if", ""))
+        args = [a for a in solo["run"].split() if a.startswith("tests/")]
+        for suite in (
+            "tests/staging/test_retention_fold.py",
+            "tests/faults/test_retention_faults.py",
+        ):
+            assert (REPO_ROOT / suite).is_file()
+            assert any(suite == a or suite.startswith(a + "/") for a in args)
+
     def test_nightly_soak_is_schedule_gated_and_runs_both_transports(self, workflow):
         job = workflow["jobs"]["nightly-soak"]
         assert "schedule" in job["if"]
