@@ -1,17 +1,17 @@
 """Recovery-engine microbenchmarks: restart, replay, rebuild, restore.
 
-Measures the four layers the parallel-recovery PR touches, each against its
-serial seed path (``parallel=False`` / per-codeword decode):
+Measures the four layers of the recovery engine:
 
 * **decode batching** — ``RSCode.decode_batch`` MB/s over many erased
   codewords vs a per-codeword decode loop, plus ``encode_batch`` on the
   same payloads (the design target: batched decode within 2x of encode
   throughput, since both reduce to one stacked GF(256) matmul).
-* **rebuild** — :func:`repro.staging.resilience.rebuild_server` pipelined
+* **rebuild** — :func:`repro.staging.resilience.rebuild_server` MB/s
   (survivor fetches for batch N+1 overlap decode/store of batch N, matrix
-  solves amortised per batch) vs the serial record-at-a-time path.
+  solves amortised per batch).
 * **restore** — rolling a populated synchronized service back to an
-  incremental CoW snapshot with the per-server fan-out vs serially.
+  incremental CoW snapshot with the per-server fan-out vs on a group
+  created with ``parallel=False``.
 * **restart** — ``workflow_restart`` + full drain of the replay script
   (one cursor, recorded order).
 
@@ -145,27 +145,18 @@ def _protected_group() -> tuple[StagingGroup, int]:
 
 
 def bench_rebuild() -> dict:
-    def rebuild(parallel: bool) -> tuple[float, int]:
-        best, rebuilt = None, 0
-        for _ in range(REBUILD_REPS):
-            group, lost = _protected_group()  # fresh group per rep
-            t0 = perf_counter()
-            rebuilt = rebuild_server(
-                group, lost, parallel=parallel, batch_size=REBUILD_BATCH
-            )
-            dt = perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        return best, rebuilt
-
-    t_serial, rebuilt = rebuild(parallel=False)
-    t_pipe, _ = rebuild(parallel=True)
+    best, rebuilt = None, 0
+    for _ in range(REBUILD_REPS):
+        group, lost = _protected_group()  # fresh group per rep
+        t0 = perf_counter()
+        rebuilt = rebuild_server(group, lost, batch_size=REBUILD_BATCH)
+        dt = perf_counter() - t0
+        best = dt if best is None else min(best, dt)
     return {
         "rebuild": {
             "records": REBUILD_VERSIONS,
             "rebuilt_mb": round(rebuilt / MB, 2),
-            "pipelined_MBps": round(rebuilt / MB / t_pipe, 1),
-            "serial_MBps": round(rebuilt / MB / t_serial, 1),
-            "speedup": round(t_serial / t_pipe, 2),
+            "pipelined_MBps": round(rebuilt / MB / best, 1),
         }
     }
 
@@ -177,10 +168,7 @@ def _service_with_delta(parallel: bool) -> tuple[SynchronizedStaging, dict]:
     # Producer-only logged service: retention keeps every version resident.
     group = StagingGroup.create(RESTORE_DOMAIN, num_servers=4, parallel=parallel)
     svc = SynchronizedStaging(
-        WorkflowStaging(group, enable_logging=True),
-        poll_timeout=0.05,
-        max_wait=30.0,
-        parallel=parallel,
+        WorkflowStaging(group, enable_logging=True), poll_timeout=0.05, max_wait=30.0
     )
     svc.register("sim")
     rng = np.random.default_rng(17)
@@ -274,8 +262,7 @@ def main() -> int:
     reb = results["rebuild"]
     print(
         f"rebuild {reb['records']} records ({reb['rebuilt_mb']:.1f} MB): "
-        f"pipelined {reb['pipelined_MBps']:.0f} MB/s "
-        f"(serial {reb['serial_MBps']:.0f}, x{reb['speedup']:.1f})"
+        f"pipelined {reb['pipelined_MBps']:.0f} MB/s"
     )
     res = results["restore"]
     print(
@@ -291,10 +278,6 @@ def main() -> int:
         print(
             "WARNING: batched decode fell below half of encode_batch "
             f"throughput (ratio {dec['decode_vs_encode']:.2f})"
-        )
-    if reb["speedup"] < 1.0:
-        print(
-            f"WARNING: pipelined rebuild slower than serial (x{reb['speedup']:.2f})"
         )
     return 0
 

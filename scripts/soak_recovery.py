@@ -166,7 +166,7 @@ def rebuild_round(versions: int, seed: int, rebuild_budget: float) -> list[str]:
                 problems.append(f"degraded read of {name}@{v} diverged")
 
     t0 = perf_counter()
-    rebuilt = rebuild_server(group, lost, parallel=True)
+    rebuilt = rebuild_server(group, lost)
     dt = perf_counter() - t0
     if dt > rebuild_budget:
         problems.append(

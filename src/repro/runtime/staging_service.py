@@ -18,10 +18,8 @@ Lock hierarchy (outer to inner; see DESIGN.md, performance architecture):
 A request is serviced as *plan (meta) → move payload (server locks) → commit
 (meta)*. Snapshot/restore quiesce the data plane first (an in-flight-ops
 gate) so a coordinated checkpoint never captures a torn, half-written group.
-``parallel=False`` collapses everything back under the metadata lock — the
-seed's single-lock behaviour, kept as the reference the parallel paths are
-differentially tested against. Recovery has one path: ``workflow_restart``
-builds a replay script that is walked in recorded order, whatever the mode.
+Every put and get takes that one path. Recovery has one path too:
+``workflow_restart`` builds a replay script that is walked in recorded order.
 
 Also provides whole-staging snapshot/restore — under *global coordinated*
 checkpointing the staging servers are part of the global snapshot and roll
@@ -75,7 +73,6 @@ class SynchronizedStaging:
         poll_timeout: float = 1.0,
         max_wait: float = 60.0,
         max_ahead: int = 2,
-        parallel: bool = True,
     ) -> None:
         self.staging = staging
         self.poll_timeout = poll_timeout
@@ -85,10 +82,6 @@ class SynchronizedStaging:
         # paper's "write immediately followed by read" coordination
         # (DataSpaces coupling locks) and bounds staging memory.
         self.max_ahead = max_ahead
-        # parallel=False serializes every request under the metadata lock
-        # (the seed's single-lock path): the benchmark baseline, and the
-        # reference the parallel path is differentially tested against.
-        self.parallel = parallel
         self._meta = threading.RLock()
         self._data_arrived = threading.Condition(self._meta)
         # Data-plane quiescence gate: payload phases run outside _meta, so
@@ -397,10 +390,6 @@ class SynchronizedStaging:
             if suppressed is not None:
                 self._data_arrived.notify_all()
                 return suppressed
-            if not self.parallel:
-                result = self.staging.handle_put(component, desc, data, step)
-                self._data_arrived.notify_all()
-                return result
             retain = self.staging.put_retention(desc.name)
             self._begin_data_phase()
         # ---- data phase: payload moves under per-server locks only -------
@@ -434,23 +423,23 @@ class SynchronizedStaging:
         requested while this consumer waited for a version the rolled-back
         producer will never write).
 
-        In the parallel path the payload is assembled outside the metadata
-        lock; if a concurrent eviction or rollback removes the planned
-        version mid-fetch, the fetch raises and the wait loop simply resumes
-        (the interrupt predicate or deadline bounds the retry).
+        The payload is assembled outside the metadata lock; if a concurrent
+        eviction or rollback removes the planned version mid-fetch, the
+        fetch raises and the wait loop simply resumes (the interrupt
+        predicate or deadline bounds the retry).
         """
-        t_req = time.monotonic()
         t_start = time.monotonic()
-        _LOCK_WAIT.record(0.0 if not self.parallel else t_start - t_req)
-        deadline = t_start + self.max_wait
+        deadline: float | None = None
         waited = False
         while True:
             plan: GetPlan | None = None
             with self._meta:
-                if not waited:
-                    # As in put(): the wait budget excludes lock-acquisition
-                    # time; re-anchor it now that the lock is held once.
-                    deadline = max(deadline, time.monotonic() + self.max_wait)
+                if deadline is None:
+                    now = time.monotonic()
+                    _LOCK_WAIT.record(now - t_start)
+                    # As in put(): the wait budget starts once the lock is
+                    # held, so lock contention does not eat into max_wait.
+                    deadline = now + self.max_wait
                 while True:
                     if self._shutdown:
                         _WAITS_INTERRUPTED.inc()
@@ -463,20 +452,10 @@ class SynchronizedStaging:
                         raise WaitInterrupted(
                             f"{component!r} waited over {self.max_wait}s for {desc}"
                         )
-                    if not self.parallel:
-                        result = self._serve_get_serial(component, desc, step)
-                        if result is not None:
-                            if waited:
-                                _BLOCKING_WAIT_SECONDS.record(
-                                    time.monotonic() - t_start
-                                )
-                            self._record_read(component, desc, result)
-                            return result
-                    else:
-                        plan = self.staging.plan_get(component, desc)
-                        if plan is not None:
-                            self._begin_data_phase()
-                            break
+                    plan = self.staging.plan_get(component, desc)
+                    if plan is not None:
+                        self._begin_data_phase()
+                        break
                     if not waited:
                         waited = True
                         _BLOCKING_WAITS.inc()
@@ -508,28 +487,6 @@ class SynchronizedStaging:
                     _BLOCKING_WAIT_SECONDS.record(time.monotonic() - t_start)
                 self._record_read(component, desc, result)
                 return result
-
-    def _serve_get_serial(
-        self, component: str, desc: ObjectDescriptor, step: int
-    ) -> GetResult | None:
-        """One readiness probe + serve attempt fully under the metadata lock
-        (the seed's single-lock path; caller holds ``_meta``)."""
-        client = self.staging.client
-        if self.staging.in_replay(component):
-            # Replay never blocks: the log retains everything the script
-            # will serve.
-            return self.staging.handle_get(component, desc, step)
-        if client.covers(desc):
-            return self.staging.handle_get(component, desc, step)
-        if (
-            # In non-logged mode a stale-latest fallback may apply, but only
-            # once *some* newer version exists.
-            not self.staging.enable_logging
-            and (latest := client.latest_version(desc.name)) is not None
-            and latest >= desc.version
-        ):
-            return self.staging.handle_get(component, desc, step)
-        return None
 
     def _record_read(
         self, component: str, desc: ObjectDescriptor, result: GetResult
@@ -617,7 +574,6 @@ class SynchronizedStaging:
                             # seed-shaped; once a chain exists it doubles as
                             # a fresh base.
                             start_chain=(not full) or ckpt.journaling,
-                            parallel=self.group.parallel,
                         )
                         self._frontier_dirty.clear()
                         if not full:
@@ -650,8 +606,7 @@ class SynchronizedStaging:
         place (:meth:`StagingServer.restore` rolls store, index and blobs
         back together, so the metadata layer never points at rolled-back
         versions). Per-server work is independent and fans out on the shard
-        pool; ``parallel=False`` keeps the serial path the fan-out is
-        differentially tested against. The read frontiers, protection
+        pool when the group is ``parallel``. The read frontiers, protection
         records and health rewind with the data.
         """
         t0 = time.monotonic()
@@ -664,9 +619,7 @@ class SynchronizedStaging:
                     try:
                         if snap is None:
                             snap = ckpt.empty_snapshot()
-                        self._frontier = ckpt.restore(
-                            snap, parallel=self.parallel and self.group.parallel
-                        )
+                        self._frontier = ckpt.restore(snap)
                         self._frontier_dirty = {}
                     finally:
                         self._release_data_plane()

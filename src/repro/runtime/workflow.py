@@ -271,7 +271,6 @@ class ThreadedWorkflow:
         background_gc: bool = False,
         gc_high_watermark: int | None = None,
         server_faults: list | None = None,
-        parallel: bool | None = None,
         protection=None,
     ) -> None:
         if scheme not in SCHEMES:
@@ -299,11 +298,8 @@ class ThreadedWorkflow:
         # group before the run — the GC/fault soak drives eviction through
         # crashing/slow/flaky servers this way.
         self.server_faults = server_faults or []
-        # Staging parallelism override for group and service together
-        # (None = each layer's own default) and optional ProtectionConfig —
-        # the recovery soak runs protected workflows with servers crashing
-        # mid-flight and needs both knobs from the outside.
-        self.parallel = parallel
+        # Optional ProtectionConfig: the recovery soak runs protected
+        # workflows with servers crashing mid-flight.
         self.protection = protection
         if scheme in ("ds", "coordinated", "individual"):
             self.enable_logging = False
@@ -315,18 +311,14 @@ class ThreadedWorkflow:
     def run(self) -> WorkflowResult:
         domain = self.specs[0].domain
         group = StagingGroup.create(
-            domain,
-            num_servers=self.num_servers,
-            parallel=self.parallel,
-            protection=self.protection,
+            domain, num_servers=self.num_servers, protection=self.protection
         )
         if self.server_faults:
             from repro.faults.proxy import inject_faults  # local import (optional path)
 
             inject_faults(group, list(self.server_faults))
         staging = SynchronizedStaging(
-            WorkflowStaging(group, enable_logging=self.enable_logging),
-            **({} if self.parallel is None else {"parallel": self.parallel}),
+            WorkflowStaging(group, enable_logging=self.enable_logging)
         )
         if self.background_gc and self.enable_logging:
             # Retention trimming leaves the checkpoint path: checks only

@@ -5,22 +5,24 @@
 gathers and assembles it. The paper's logging interface in
 :mod:`repro.core.interface` layers the event queue on top of this.
 
-How a request reaches several servers depends on the transport:
+A request reaches several servers the same way on every transport:
+:meth:`StagingClient.fan_out` issues it to every target server first
+(:meth:`StagingClient.begin_all`) and only then collects the replies
+(:meth:`StagingClient.settle_all`), each under that server's retry/health
+policy. The protected path (:mod:`repro.staging.resilience`) is built from
+the same two halves, one round per *stage*: data and parity of a put,
+survivors and parity of a degraded read. Only the begin half depends on the
+transport:
 
-* **wire transports** (tcp, shm) — :meth:`StagingClient.fan_out` issues the
-  request to every target server first (:meth:`StagingClient.begin_all`)
-  and only then collects the replies (:meth:`StagingClient.settle_all`), each
-  under that server's retry/health policy. A logical op costs one round of
-  wire latency however many servers it touches, at every payload size, on
-  the caller's own thread. The protected path (:mod:`repro.staging.resilience`)
-  is built from the same two halves, one round per *stage*: data and
-  parity of a put, survivors and parity of a degraded read.
-* **inproc** — calls are plain method calls with nothing to overlap. Shard
-  I/O fans out through a process-wide thread pool instead: each task serves
-  all of one request's shards for one server, serialized only by that
-  server's lock (put copies and get assembly release the GIL inside NumPy).
-  The pool is gated on payload size — for small shards the submit overhead
-  exceeds the copy, so those stay on the caller's thread.
+* **wire transports** (tcp, shm) — every request is on the wire before the
+  first reply is awaited, so a logical op costs one round of wire latency
+  however many servers it touches, at every payload size.
+* **inproc** — calls are plain method calls. A request that moves at least
+  ``PARALLEL_THRESHOLD_BYTES`` across two or more servers is submitted to a
+  process-wide thread pool, one task per server, serialized only by that
+  server's lock (store copies release the GIL inside NumPy). Smaller ones
+  are made on the caller's thread as they are settled: for small shards the
+  submit overhead exceeds the copy.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
@@ -72,7 +74,7 @@ _RETRIES = _obs.counter("staging.client.retries")
 _BACKOFF_SECONDS = _obs.histogram("staging.client.backoff.seconds")
 _DEADLINE_EXCEEDED = _obs.counter("staging.client.deadline_exceeded")
 
-# Fan out to the pool (inproc only) when a request's payload is at least this
+# An inproc request begins on the pool when its payload is at least this
 # large; below it, pool submit/wake latency exceeds the shard memcpy.
 PARALLEL_THRESHOLD_BYTES = 256 * 1024
 
@@ -106,17 +108,15 @@ class StagingGroup:
     """A set of staging servers plus the placement map clients use.
 
     This is the process-group-level object a workflow creates once and hands
-    to every component's client. ``parallel=False`` pins every request to
-    the caller's thread (the seed's serial data path — kept as the
-    measurable baseline and for single-core runs). The flag only concerns
-    the inproc shard pool; wire transports always overlap on the wire.
+    to every component's client. ``parallel`` gates the shard-I/O pool: the
+    inproc begin half of large requests and the per-server snapshot/restore
+    fan-out. Wire transports always overlap on the wire.
     """
 
     domain: Domain
     servers: list[StagingServer]
     placement: PlacementMap
     parallel: bool = field(default=True, compare=False)
-    parallel_threshold: int = field(default=PARALLEL_THRESHOLD_BYTES, compare=False)
     # Resilience state (always present; coding/degraded reads engage only
     # when ``protection`` is set, so the unprotected fast path is untouched).
     protection: ProtectionConfig | None = field(default=None, compare=False)
@@ -191,17 +191,12 @@ class StagingGroup:
         """
         self.transport.close()
 
-    def rebuild(
-        self, server_id: int, replacement=None, parallel: bool | None = None
-    ) -> int:
+    def rebuild(self, server_id: int, replacement=None) -> int:
         """Rebuild a lost server's protected contents from survivors and
         swap the (fresh or provided) replacement into the group. Returns
-        bytes rebuilt. ``parallel`` defaults to the group's flag (pipelined
-        batches on the shared pool); ``False`` forces the serial
-        record-at-a-time path. See
-        :func:`repro.staging.resilience.rebuild_server`.
+        bytes rebuilt. See :func:`repro.staging.resilience.rebuild_server`.
         """
-        return rebuild_server(self, server_id, replacement, parallel=parallel)
+        return rebuild_server(self, server_id, replacement)
 
     def drop_protection(self) -> None:
         """Disable protection and forget all records (test/bench helper)."""
@@ -223,19 +218,6 @@ class StagingGroup:
         return [s.nbytes for s in self.servers]
 
 
-def _await_all(futures: list[Future]) -> None:
-    """Wait for every task, then raise the first failure (if any).
-
-    Waiting for all before raising keeps server state deterministic: no
-    task is abandoned mid-flight while the caller unwinds.
-    """
-    wait(futures)
-    for f in futures:
-        exc = f.exception()
-        if exc is not None:
-            raise exc
-
-
 class StagingClient:
     """Per-component handle for geometric put/get against a StagingGroup."""
 
@@ -250,14 +232,6 @@ class StagingClient:
         for server_id, sub in shards:
             by_server.setdefault(server_id, []).append(sub)
         return by_server
-
-    def _use_pool(self, by_server: dict[int, list[BBox]], nbytes: int) -> bool:
-        """Whether to fan this (inproc) request out across the shard-I/O pool."""
-        return (
-            self.group.parallel
-            and nbytes >= self.group.parallel_threshold
-            and len(by_server) >= 2
-        )
 
     def _server_op(self, server_id: int, fn, first=None, check=None):
         """Run one server call under the group's retry/health policy.
@@ -320,20 +294,35 @@ class StagingClient:
 
     # -------------------------------------------------------------- fan-out
 
-    def begin_all(self, calls: list[tuple[int, str, tuple]], servers=None) -> list:
+    def begin_all(
+        self, calls: list[tuple[int, str, tuple]], servers=None, nbytes: int = 0
+    ) -> list:
         """Issue the first attempt of every ``(server_id, op, args)`` call.
 
-        On a wire transport all of them leave inside one ``deadline_scope``
-        (one shared budget, stamped into every frame) and the result holds
-        one pending call per entry; whoever takes them must settle each one
-        (``result()`` or ``abandon()``). Inproc servers have no begin half:
-        the result is all ``None`` and the caller makes the call itself.
-        ``servers`` maps ``server_id`` to the server to ask where that is not
-        the group's — a rebuild's replacement, not yet swapped in.
+        The result holds one pending call per entry, and whoever takes them
+        must settle each one (``result()``) or give it up
+        (:meth:`abandon_all`). On a wire transport all of them leave inside
+        one ``deadline_scope`` (one shared budget, stamped into every frame).
+        Inproc, a request moving ``nbytes`` (at least
+        ``PARALLEL_THRESHOLD_BYTES``) in two or more calls on a ``parallel``
+        group is submitted to the shard-I/O pool and each pending call is
+        its task's future; otherwise every entry is ``None`` and the call is
+        made where it is settled. ``servers`` maps ``server_id`` to the
+        server to ask where that is not the group's — a rebuild's
+        replacement, not yet swapped in.
         """
-        if not self.group.transport.remote:
-            return [None] * len(calls)
         servers = servers or self.group.servers
+        if not self.group.transport.remote:
+            if not (
+                self.group.parallel
+                and nbytes >= PARALLEL_THRESHOLD_BYTES
+                and len(calls) >= 2
+            ):
+                return [None] * len(calls)
+            _POOL_PARALLEL_OPS.inc()
+            _POOL_TASKS.inc(len(calls))
+            submit = self.group.executor.submit
+            return [submit(getattr(servers[sid], op), *args) for sid, op, args in calls]
         pending: list = []
         try:
             with deadline_scope(time.time() + self.group.retry.deadline):
@@ -346,8 +335,8 @@ class StagingClient:
 
     def attempt(self, call: tuple[int, str, tuple], pending, servers=None):
         """One attempt at ``call``, outside any retry or health policy: the
-        reply to the request :meth:`begin_all` issued for it or, where there
-        was none to issue (inproc), the call itself (``servers`` as there)."""
+        reply to the request :meth:`begin_all` issued for it or, where none
+        was issued, the call itself (``servers`` as there)."""
         if pending is not None:
             return pending.result()
         server_id, op, args = call
@@ -356,9 +345,12 @@ class StagingClient:
     @staticmethod
     def abandon_all(pending: list) -> None:
         """Give up on whichever of ``pending`` (from :meth:`begin_all`) are
-        still unsettled — the ``finally`` of every loop that settles them."""
+        still unsettled — the ``finally`` of every loop that settles them.
+        A pool task that has not started yet never runs."""
         for call in pending:
-            if call is not None:
+            if isinstance(call, Future):
+                call.cancel()
+            elif call is not None:
                 call.abandon()
 
     def settle_all(
@@ -416,17 +408,19 @@ class StagingClient:
         unreachable=_RAISE,
         absent=_RAISE,
         retention=(),
+        nbytes: int = 0,
     ) -> list:
         """One logical op across servers: the values of ``(server_id, op,
         args)`` calls, in call order.
 
-        Over the wire every call is in flight before the first reply is
-        awaited (:meth:`begin_all`); only the waiting overlaps — each call
-        is settled, and the other arguments used, as :meth:`settle_all` says.
-        ``retention`` calls (:meth:`retention_calls`) leave in the same round
-        and are settled by :meth:`settle_retention`.
+        Every call is begun before the first is settled (:meth:`begin_all`,
+        which ``nbytes``, the payload the op moves, gates on inproc); only
+        the waiting overlaps — each call is settled, and the other arguments
+        used, as :meth:`settle_all` says. ``retention`` calls
+        (:meth:`retention_calls`) join the same round and are settled by
+        :meth:`settle_retention`.
         """
-        pending = self.begin_all([*calls, *retention])
+        pending = self.begin_all([*calls, *retention], nbytes=nbytes)
         try:
             values = self.settle_all(calls, pending, checks, unreachable, absent)
             self.settle_retention(retention, pending[len(calls) :])
@@ -472,12 +466,6 @@ class StagingClient:
             except (ServerUnavailable, TransientServerError):
                 continue
 
-    def _retain_rest(self, retain, reached) -> None:
-        """The retention calls on their own, after the op's data calls:
-        inproc, where there is no round to join."""
-        if retain is not None:
-            self.fan_out([], retention=self.retention_calls(retain, reached))
-
     # ------------------------------------------------------------------ put
 
     def put(self, desc: ObjectDescriptor, data: np.ndarray, retain=None) -> int:
@@ -492,54 +480,29 @@ class StagingClient:
         by_server = self._by_server(shards)
         if self.group.protection is not None:
             protected_put(self, desc, data, by_server, retain)
-        elif self.group.transport.remote:
+        else:
             self.fan_out(
                 [
                     (
                         server_id,
                         "put_many",
-                        self.data_args(self._shards_of(boxes, desc, data), retain),
+                        self.data_args(
+                            [
+                                (desc.with_bbox(sub), data[sub.slices(desc.bbox)])
+                                for sub in boxes
+                            ],
+                            retain,
+                        ),
                     )
                     for server_id, boxes in by_server.items()
                 ],
                 retention=self.retention_calls(retain, by_server),
+                nbytes=int(data.nbytes),
             )
-        elif not self._use_pool(by_server, int(data.nbytes)):
-            for server_id, boxes in by_server.items():
-                self._scatter_to(server_id, boxes, desc, data, retain)
-            self._retain_rest(retain, by_server)
-        else:
-            _POOL_PARALLEL_OPS.inc()
-            _POOL_TASKS.inc(len(by_server))
-            pool = self.group.executor
-            _await_all(
-                [
-                    pool.submit(self._scatter_to, server_id, boxes, desc, data, retain)
-                    for server_id, boxes in by_server.items()
-                ]
-            )
-            self._retain_rest(retain, by_server)
         _PUT_COUNT.inc()
         _PUT_FANOUT.record(len(shards))
         _PUT_SECONDS.record(perf_counter() - t0)
         return len(shards)
-
-    @staticmethod
-    def _shards_of(boxes: list[BBox], desc: ObjectDescriptor, data: np.ndarray) -> list:
-        return [(desc.with_bbox(sub), data[sub.slices(desc.bbox)]) for sub in boxes]
-
-    def _scatter_to(
-        self,
-        server_id: int,
-        boxes: list[BBox],
-        desc: ObjectDescriptor,
-        data: np.ndarray,
-        retain=None,
-    ) -> None:
-        args = self.data_args(self._shards_of(boxes, desc, data), retain)
-        self._server_op(
-            server_id, lambda: self.group.servers[server_id].put_many(*args)
-        )
 
     # ------------------------------------------------------------------ get
 
@@ -555,59 +518,39 @@ class StagingClient:
         if not shards:
             raise ObjectNotFound(f"{desc}: region outside staged domain")
         out = np.empty(desc.bbox.shape, dtype=np.dtype(desc.dtype))
-        by_server = self._by_server(shards)
         if self.group.protection is not None:
             self._protected_get(desc, out, retain)
-        elif self.group.transport.remote:
-            gathered = self.fan_out(
-                [
-                    (
-                        server_id,
-                        "get_many",
-                        self.data_args([desc.with_bbox(sub) for sub in boxes], retain),
-                    )
-                    for server_id, boxes in by_server.items()
-                ],
-                retention=self.retention_calls(retain, by_server),
-            )
-            for boxes, parts in zip(by_server.values(), gathered):
-                for sub, part in zip(boxes, parts):
-                    out[sub.slices(desc.bbox)] = part
-        elif not self._use_pool(by_server, int(out.nbytes)):
-            for server_id, boxes in by_server.items():
-                self._gather_from(server_id, boxes, desc, out, retain)
-            self._retain_rest(retain, by_server)
         else:
-            _POOL_PARALLEL_OPS.inc()
-            _POOL_TASKS.inc(len(by_server))
-            pool = self.group.executor
-            # Tasks write disjoint sub-regions of `out`; no synchronization
-            # on the buffer is needed.
-            _await_all(
-                [
-                    pool.submit(self._gather_from, server_id, boxes, desc, out, retain)
-                    for server_id, boxes in by_server.items()
-                ]
-            )
-            self._retain_rest(retain, by_server)
+            self._gather(desc, out, shards, retain)
         _GET_COUNT.inc()
         _GET_SECONDS.record(perf_counter() - t0)
         return out
 
-    def _gather_from(
+    def _gather(
         self,
-        server_id: int,
-        boxes: list[BBox],
         desc: ObjectDescriptor,
         out: np.ndarray,
+        shards: list[tuple[int, BBox]],
         retain=None,
     ) -> None:
-        args = self.data_args([desc.with_bbox(sub) for sub in boxes], retain)
-        parts = self._server_op(
-            server_id, lambda: self.group.servers[server_id].get_many(*args)
+        """Fill ``out`` with ``desc.bbox``, whose ``shards`` these are, in one
+        :meth:`fan_out` of ``get_many`` calls; ``retain`` rides them."""
+        by_server = self._by_server(shards)
+        gathered = self.fan_out(
+            [
+                (
+                    server_id,
+                    "get_many",
+                    self.data_args([desc.with_bbox(sub) for sub in boxes], retain),
+                )
+                for server_id, boxes in by_server.items()
+            ],
+            retention=self.retention_calls(retain, by_server),
+            nbytes=int(out.nbytes),
         )
-        for sub, part in zip(boxes, parts):
-            out[sub.slices(desc.bbox)] = part
+        for boxes, parts in zip(by_server.values(), gathered):
+            for sub, part in zip(boxes, parts):
+                out[sub.slices(desc.bbox)] = part
 
     def _protected_get(self, desc: ObjectDescriptor, out: np.ndarray, retain) -> None:
         """Serve a read through protection records (verified, degraded-capable).
@@ -663,15 +606,12 @@ class StagingClient:
             if not remaining:
                 return
         for region in remaining:
-            sub_desc = desc.with_bbox(region)
-            for server_id, boxes in self._by_server(
-                self.group.placement.shards(region)
-            ).items():
-                # _gather_from runs under the retry policy itself.
-                self._gather_from(
-                    server_id, boxes, sub_desc, out[region.slices(desc.bbox)]
-                )
-        self._retain_rest(retain, ())
+            self._gather(
+                desc.with_bbox(region),
+                out[region.slices(desc.bbox)],
+                self.group.placement.shards(region),
+            )
+        self.fan_out([], retention=self.retention_calls(retain, ()))
 
     def covers(self, desc: ObjectDescriptor) -> bool:
         """True when ``desc`` is servable — directly, or degraded via records.
@@ -705,18 +645,7 @@ class StagingClient:
                     return False
                 descs = [sub_desc.with_bbox(sub) for sub in boxes]
                 probes.append((server_id, "covers_all", (descs,)))
-        if self.group.transport.remote:
-            return all(self.fan_out(probes, unreachable=False))
-        # Inproc: nothing to overlap, so stop at the first "no".
-        for server_id, _op, (descs,) in probes:
-            server = self.group.servers[server_id]
-            try:
-                ok = self._server_op(server_id, partial(server.covers_all, descs))
-            except (ServerUnavailable, TransientServerError):
-                return False
-            if not ok:
-                return False
-        return True
+        return all(self.fan_out(probes, unreachable=False))
 
     def latest_version(self, name: str) -> int | None:
         """Highest version of ``name`` present on any reachable server.

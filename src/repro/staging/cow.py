@@ -84,6 +84,12 @@ def _full_snapshot(server_snaps: list, frontier: dict, records, health) -> dict:
     }
 
 
+def _pool_of(group):
+    """The shard-I/O pool a ``parallel`` multi-server group fans its
+    per-server snapshot/restore work out on; ``None`` runs it inline."""
+    return group.executor if group.parallel and len(group.servers) > 1 else None
+
+
 def _per_server(pool, fn, items) -> list:
     """``fn`` over per-server ``items``; the work is independent across
     servers, so a ``pool`` fans it out."""
@@ -260,9 +266,7 @@ class StagingCheckpointer:
         self.journaling = True
         _CHAIN_LENGTH.set(len(self._deltas))
 
-    def capture_full(
-        self, frontier: dict, *, start_chain: bool = True, parallel: bool = False
-    ) -> dict:
+    def capture_full(self, frontier: dict, *, start_chain: bool = True) -> dict:
         """Capture a full snapshot (caller holds the gate).
 
         With ``start_chain`` the chain rebases onto this capture and
@@ -272,9 +276,8 @@ class StagingCheckpointer:
         per-mutation overhead is ever paid.
         """
         group = self.group
-        pool = group.executor if parallel and len(group.servers) > 1 else None
         snap = _full_snapshot(
-            _per_server(pool, lambda s: s.snapshot(), group.servers),
+            _per_server(_pool_of(group), lambda s: s.snapshot(), group.servers),
             dict(frontier),
             group.records,
             group.health,
@@ -351,7 +354,7 @@ class StagingCheckpointer:
         empty = [StagingServer.empty_snapshot() for _ in self.group.servers]
         return _full_snapshot(empty, {}, ProtectionIndex(), self.group.health)
 
-    def restore(self, snap: dict, parallel: bool = False) -> dict:
+    def restore(self, snap: dict) -> dict:
         """Turn ``snap`` (chain or full) back into live group state (caller
         holds the gate); returns the read frontier it carries.
 
@@ -364,7 +367,7 @@ class StagingCheckpointer:
         base, deltas = (
             (snap["chain"]["base"], snap["chain"]["deltas"]) if cow else (snap, ())
         )
-        pool = group.executor if parallel and len(group.servers) > 1 else None
+        pool = _pool_of(group)
         if pool is not None:
             _RESTORE_FANOUT.inc(len(group.servers))
         frontier = _restore_chain(

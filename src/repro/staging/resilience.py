@@ -1019,7 +1019,6 @@ def rebuild_server(
     group: "StagingGroup",
     server_id: int,
     replacement=None,
-    parallel: bool | None = None,
     batch_size: int = REBUILD_BATCH_RECORDS,
 ) -> int:
     """Repopulate a lost server from survivors and swap it into the group.
@@ -1033,15 +1032,13 @@ def rebuild_server(
     verification) are skipped and counted
     (``staging.rebuild.skipped_records``).
 
-    With ``parallel`` (default: the group's ``parallel`` flag) records are
-    processed in batches pipelined on the shared staging pool — batch N+1's
-    survivor fetches run while batch N decodes and stores — and each batch's
-    matrix solves are amortised through ``decode_batch``. ``parallel=False``
-    takes the records through the same stages one at a time, on the
-    caller's thread. Either way every
-    reconstructed shard is digest-verified before it is stored, and the
-    server's health flips back up only after the whole rebuild — a replica
-    is never marked healthy while holding unverified bytes.
+    Records are processed in batches of ``batch_size`` pipelined on the
+    shared staging pool — batch N+1's survivor fetches run while batch N
+    decodes and stores — and each batch's matrix solves are amortised
+    through ``decode_batch``. Every reconstructed shard is digest-verified
+    before it is stored, and the server's health flips back up only after
+    the whole rebuild — a replica is never marked healthy while holding
+    unverified bytes.
 
     The replacement, when not supplied, is provisioned by the group's
     transport (:meth:`repro.net.transport.Transport.make_replacement`): a
@@ -1061,16 +1058,9 @@ def rebuild_server(
         )
     client = StagingClient(group, client_id=f"rebuild-{server_id}")
     group.health.mark_down(server_id)  # route every fetch to survivors
-    if parallel is None:
-        parallel = group.parallel
-    records = group.records.all_records()
-    if parallel and records:
-        rebuilt = _rebuild_pipelined(client, records, server_id, fresh, batch_size)
-    else:
-        rebuilt = sum(
-            _apply_rebuild_batch(client, _fetch_rebuild_batch(client, [rec], server_id), fresh)
-            for rec in records
-        )
+    rebuilt = _rebuild_pipelined(
+        client, group.records.all_records(), server_id, fresh, batch_size
+    )
     group.servers[server_id] = fresh
     group.health.reset(server_id)
     _REBUILDS.inc()
@@ -1249,6 +1239,8 @@ def _rebuild_pipelined(
     batches = [
         records[lo : lo + batch_size] for lo in range(0, len(records), batch_size)
     ]
+    if not batches:
+        return 0
     rebuilt = 0
     future = pool.submit(_fetch_rebuild_batch, client, batches[0], server_id)
     for bi in range(len(batches)):

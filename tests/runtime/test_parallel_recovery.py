@@ -1,19 +1,19 @@
-"""Differential tests: parallel recovery is byte-identical to serial.
+"""Recovery paths against their oracles: the bytes that were put.
 
-The recovery engine (PR "parallel recovery") parallelises two paths —
-concurrent per-server restore and pipelined/batched rebuild — each behind a
-``parallel`` flag that preserves the serial seed path exactly. Replay has
-one path (a strict recorded-order cursor) in both modes. These tests prove
-the equivalence the design claims:
+The recovery engine parallelises two paths — concurrent per-server restore
+(gated by the group's ``parallel`` switch) and pipelined, batch-decoded
+rebuild. Replay has one path (a strict recorded-order cursor). These tests
+check that:
 
 * a replay script rejects a recovering component that re-issues its gets in
   a different order than it recorded them, at the service's default
   settings;
+* a workflow that fails and recovers stays read-stable against the
+  non-logged ``ds`` reference run;
 * restoring a CoW snapshot chain with the per-server fan-out lands on the
-  same bytes as the serial restore, across random epoch boundaries;
-* a pipelined, batch-decoded rebuild repopulates a replacement server with
-  the same bytes as the serial record-at-a-time rebuild, under random
-  fault plans;
+  same bytes as the inline restore, across random epoch boundaries;
+* a rebuild repopulates a replacement server with exactly the source bytes
+  at every batch size, under random fault plans;
 * the two satellite bug fixes hold: reconstructed shards are digest-
   verified before anything lands on a replacement (a corrupt survivor
   cannot be laundered through a rebuild), and degraded-read shard fetches
@@ -89,24 +89,18 @@ class TestStrictReplayOrder:
 
 
 class TestWorkflowReplayDifferential:
-    """End-to-end: recovery keeps runs read-stable in serial and parallel mode."""
+    """End-to-end: recovery keeps a run read-stable against the reference."""
 
-    def test_failure_recovery_consistent_serial_and_parallel(self):
+    def test_failure_recovery_consistent_with_reference(self):
         specs = coupled_specs(num_steps=12, domain=Domain((8, 8, 4)))
-        reference = ThreadedWorkflow(specs, "ds", parallel=False).run()
-        runs = {}
-        for parallel in (False, True):
-            runs[parallel] = ThreadedWorkflow(
-                specs,
-                "uncoordinated",
-                failures=[FailurePlan("analytic", 5), FailurePlan("simulation", 8)],
-                parallel=parallel,
-            ).run()
-            runs[parallel].verify_against(reference)  # raises on divergence
-        assert (
-            runs[True].component_stats["analytic"].rollbacks
-            == runs[False].component_stats["analytic"].rollbacks
-        )
+        reference = ThreadedWorkflow(specs, "ds").run()
+        run = ThreadedWorkflow(
+            specs,
+            "uncoordinated",
+            failures=[FailurePlan("analytic", 5), FailurePlan("simulation", 8)],
+        ).run()
+        run.verify_against(reference)  # raises on divergence
+        assert run.component_stats["analytic"].rollbacks == 1
 
 
 # -------------------------------------------------------------------- restore
@@ -126,7 +120,6 @@ def run_restore_workload(parallel: bool, epochs: list[int]) -> dict:
         poll_timeout=0.02,
         max_wait=20.0,
         max_ahead=100,  # the pinned consumer below must not throttle puts
-        parallel=parallel,
     )
     svc.register("sim")
     svc.register("ana")
@@ -187,7 +180,7 @@ class TestRestoreDifferential:
 
 
 def seeded_protected_group(
-    versions: int, mode: str = "rs", parallel: bool = False
+    versions: int, mode: str = "rs"
 ) -> tuple[StagingGroup, StagingClient]:
     cfg = (
         ProtectionConfig(mode="rs", parity=2)
@@ -195,7 +188,7 @@ def seeded_protected_group(
         else ProtectionConfig(mode="replication", replicas=1)
     )
     group = StagingGroup.create(
-        DOMAIN, num_servers=4, parallel=parallel, protection=cfg, retry=FAST_RETRY
+        DOMAIN, num_servers=4, protection=cfg, retry=FAST_RETRY
     )
     client = StagingClient(group)
     for name in ("a", "b"):
@@ -204,29 +197,28 @@ def seeded_protected_group(
     return group, client
 
 
-def rebuild_and_read(
-    versions: int, lost: int, mode: str, parallel: bool, batch_size: int
-) -> dict:
+def rebuild_and_read(versions: int, lost: int, mode: str, batch_size: int) -> None:
     group, client = seeded_protected_group(versions, mode=mode)
-    rebuilt = rebuild_server(
-        group, lost, parallel=parallel, batch_size=batch_size
-    )
+    # What the lost server held, by the records that describe it.
+    owned = [
+        rec.shards[i].nbytes
+        for rec in group.records.all_records()
+        for i, shard in enumerate(rec.shards)
+        if shard.server == lost
+    ]
+    rebuilt = rebuild_server(group, lost, batch_size=batch_size)
     assert group.health.state(lost) == "up"
+    srv = group.servers[lost]
+    assert srv.nbytes == sum(owned)
+    assert rebuilt == srv.nbytes + srv.protection_nbytes
     # Read everything back through the replacement only: drop protection so
     # the raw geometric path serves, and byte-compare against the source.
     group.drop_protection()
-    out: dict = {"rebuilt": rebuilt}
     for name in ("a", "b"):
         for v in range(versions):
             got = client.get(desc_for(name, v))
             expect = make_payload(desc_for(name, v))
-            assert np.array_equal(got, expect), (name, v, parallel)
-            out[(name, v)] = True
-    srv = group.servers[lost]
-    out["fragments"] = srv.store.object_count
-    out["payload_bytes"] = srv.nbytes
-    out["protection_bytes"] = srv.protection_nbytes
-    return out
+            assert np.array_equal(got, expect), (name, v, batch_size)
 
 
 class TestRebuildDifferential:
@@ -236,38 +228,37 @@ class TestRebuildDifferential:
         versions=st.integers(min_value=1, max_value=5),
         mode=st.sampled_from(["rs", "replication"]),
     )
-    def test_pipelined_rebuild_matches_serial(self, lost, versions, mode):
-        serial = rebuild_and_read(versions, lost, mode, parallel=False, batch_size=2)
-        pipelined = rebuild_and_read(versions, lost, mode, parallel=True, batch_size=2)
-        assert serial == pipelined
+    def test_rebuild_restores_source_bytes(
+        self, lost, versions, mode
+    ):
+        for batch_size in (1, 2, 2 * versions):  # 2 * versions: all records
+            rebuild_and_read(versions, lost, mode, batch_size)
 
     def test_pipelined_rebuild_runs_in_batches(self):
         group, _client = seeded_protected_group(4)  # 8 records -> 4 batches
         before = _obs.counter("recovery.rebuild.batches").value
-        rebuild_server(group, 1, parallel=True, batch_size=2)
+        rebuild_server(group, 1, batch_size=2)
         assert _obs.counter("recovery.rebuild.batches").value - before == 4
 
     def test_degraded_survivors_still_rebuild_identically(self):
         # A second server crashing mid-rebuild (first op against it) forces
-        # reconstruction through parity on both paths. Rebuild the crashed
-        # survivor afterwards too, then byte-check the whole group raw.
-        for parallel in (False, True):
-            group, client = seeded_protected_group(3)
-            inject_faults(group, [FaultPlan(server=2, op=0, kind="crash")])
-            rebuild_server(group, 0, parallel=parallel, batch_size=2)
-            rebuild_server(group, 2, parallel=parallel, batch_size=2)
-            group.drop_protection()
-            for name in ("a", "b"):
-                for v in range(3):
-                    d = desc_for(name, v)
-                    got = client.get(d)
-                    assert np.array_equal(got, make_payload(d)), (name, v, parallel)
+        # reconstruction through parity. Rebuild the crashed survivor
+        # afterwards too, then byte-check the whole group raw.
+        group, client = seeded_protected_group(3)
+        inject_faults(group, [FaultPlan(server=2, op=0, kind="crash")])
+        rebuild_server(group, 0, batch_size=2)
+        rebuild_server(group, 2, batch_size=2)
+        group.drop_protection()
+        for name in ("a", "b"):
+            for v in range(3):
+                d = desc_for(name, v)
+                assert np.array_equal(client.get(d), make_payload(d)), (name, v)
 
 
 class TestRebuildVerification:
     """Satellite fix: rebuilt bytes are digest-verified before storing."""
 
-    def _corrupted_rebuild(self, parallel: bool) -> None:
+    def test_pipelined_rebuild_refuses_corrupt_reconstruction(self):
         # verify_reads=False disables fetch-time digest checks, so a corrupt
         # survivor read flows into reconstruction. The rebuild-side
         # verification is unconditional and must refuse to store the result.
@@ -288,7 +279,7 @@ class TestRebuildVerification:
         )
         failures = _obs.counter("staging.rebuild.verify_failures").value
         skipped = _obs.counter("staging.rebuild.skipped_records").value
-        rebuild_server(group, lost, parallel=parallel, batch_size=2)
+        rebuild_server(group, lost, batch_size=2)
         assert _obs.counter("staging.rebuild.verify_failures").value > failures
         assert _obs.counter("staging.rebuild.skipped_records").value > skipped
         # Nothing unverified landed on the replacement (record-level
@@ -298,12 +289,6 @@ class TestRebuildVerification:
         assert srv.store.object_count == 0
         assert srv.protection_nbytes == 0
         assert group.health.state(lost) == "up"
-
-    def test_serial_rebuild_refuses_corrupt_reconstruction(self):
-        self._corrupted_rebuild(parallel=False)
-
-    def test_pipelined_rebuild_refuses_corrupt_reconstruction(self):
-        self._corrupted_rebuild(parallel=True)
 
 
 class TestDegradedReadRetry:
@@ -379,7 +364,7 @@ class TestRecoveryReport:
         lost = rec.shards[0].server
         inject_faults(group, [FaultPlan(server=lost, op=0, kind="crash")])
         client.get(desc_for("field", 0))  # degraded read marks the server down
-        rebuild_server(group, lost, parallel=True, batch_size=2)
+        rebuild_server(group, lost, batch_size=2)
         out = recovery_report()
         assert "recovery" in out
         assert "degraded reads" in out

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import WorkflowStaging
 from repro.descriptors import ObjectDescriptor
+from repro.obs import get_registry
 from repro.runtime.staging_service import SynchronizedStaging, WaitInterrupted
 
 from tests.conftest import make_payload
@@ -83,6 +84,27 @@ class TestBlockingGet:
         service.shutdown()
         t.join(timeout=5)
         assert errs == [True]
+
+    def test_lock_wait_is_measured(self, service, domain):
+        """A get that queues behind the metadata lock records that wait."""
+        d = fdesc(domain, 0)
+        service.put("sim", d, make_payload(d), 0)
+        lock_wait = get_registry().histogram("staging.service.lock_wait.seconds")
+        held = threading.Event()
+
+        def holder():
+            with service._meta:
+                held.set()
+                time.sleep(0.05)
+
+        t = threading.Thread(target=holder)
+        t.start()
+        held.wait()
+        count, total = lock_wait.count, lock_wait.total
+        service.get_blocking("ana", d, 0)
+        t.join()
+        assert lock_wait.count == count + 1
+        assert lock_wait.total - total >= 0.04
 
     def test_deadline_aborts(self, group, domain):
         svc = SynchronizedStaging(

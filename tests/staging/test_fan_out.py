@@ -7,7 +7,10 @@ requests — measured against server-side ``slow`` faults — while retry,
 mark-down and the pending-eviction queue behave per server exactly as on the
 sequential inproc path, which each wire test is also run against. The
 protected path (``staging.resilience``) is held to the same rule per *stage*:
-data then parity of a put, survivors then parity of a degraded read.
+data then parity of a put, survivors then parity of a degraded read. Inproc,
+a payload of at least ``PARALLEL_THRESHOLD_BYTES`` on a ``parallel`` group
+begins on the shard-I/O pool instead; the per-server policy cases run both
+ways.
 """
 
 from __future__ import annotations
@@ -27,28 +30,46 @@ from repro.faults import FaultPlan, inject_faults
 from repro.geometry import Domain
 from repro.obs import get_registry
 from repro.staging import ProtectionConfig, RetryPolicy, StagingClient, StagingGroup
+from repro.staging.client import PARALLEL_THRESHOLD_BYTES
 
 from tests.conftest import make_payload
 
 DOMAIN = Domain((16, 16, 8))
+# 512 KiB of float64: a put or get of it begins on the pool of a parallel group.
+POOLED_DOMAIN = Domain((64, 64, 16))
+assert int(np.prod(POOLED_DOMAIN.shape)) * 8 >= PARALLEL_THRESHOLD_BYTES
 SERVERS = 4
 LATENCY = 0.05
 FAST_RETRY = RetryPolicy(max_attempts=4, base_backoff=0.001, max_backoff=0.004)
 
 
-def _desc(version: int = 0) -> ObjectDescriptor:
-    return ObjectDescriptor("field", version, DOMAIN.bbox)
+def _desc(version: int = 0, domain: Domain = DOMAIN) -> ObjectDescriptor:
+    return ObjectDescriptor("field", version, domain.bbox)
 
 
-def make_group(transport=None, protection=None) -> tuple[StagingGroup, StagingClient]:
+def make_group(
+    transport=None, protection=None, domain: Domain = DOMAIN, parallel=None
+) -> tuple[StagingGroup, StagingClient]:
     group = StagingGroup.create(
-        DOMAIN,
+        domain,
         num_servers=SERVERS,
         retry=FAST_RETRY,
         transport=transport,
         protection=protection,
+        parallel=parallel,
     )
     return group, StagingClient(group, client_id="fan-out")
+
+
+def pool_ops() -> int:
+    return get_registry().counter("staging.pool.parallel_ops").value
+
+
+def pooled_or_inline(pooled: bool):
+    """A group whose inproc puts and gets begin on the pool, or inline."""
+    if pooled:
+        return make_group(domain=POOLED_DOMAIN, parallel=True)
+    return make_group(parallel=False)
 
 
 @pytest.fixture
@@ -149,44 +170,50 @@ class TestOneRoundPerOp:
 
 
 class TestPerServerPolicy:
-    def test_flaky_server_is_the_only_one_retried(self, staged):
-        group, client = staged
-        inject_faults(group, [FaultPlan(server=1, op=0, kind="flaky", calls=1)])
-        retries = get_registry().counter("staging.client.retries")
-        before = retries.value
-        d = _desc()
-        client.put(d, make_payload(d))
-        assert retries.value == before + 1
-        assert [s.op_count for s in group.servers] == [1, 2, 1, 1]
-        np.testing.assert_array_equal(client.get(d), make_payload(d))
-        assert all(group.health.state(s) == "up" for s in range(SERVERS))
+    def test_flaky_server_is_the_only_one_retried(self):
+        for pooled in (False, True):
+            group, client = pooled_or_inline(pooled)
+            try:
+                inject_faults(group, [FaultPlan(server=1, op=0, kind="flaky", calls=1)])
+                retries = get_registry().counter("staging.client.retries")
+                before = retries.value, pool_ops()
+                d = _desc(domain=group.domain)
+                client.put(d, make_payload(d))
+                assert retries.value == before[0] + 1
+                assert [s.op_count for s in group.servers] == [1, 2, 1, 1]
+                np.testing.assert_array_equal(client.get(d), make_payload(d))
+                assert all(group.health.state(s) == "up" for s in range(SERVERS))
+                ran_pooled = pooled and not group.transport.remote
+                assert (pool_ops() > before[1]) == ran_pooled
+            finally:
+                group.close()
 
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
     @pytest.mark.parametrize("op", ["put", "get"])
-    def test_crash_marks_down_and_raises_after_the_other_replies(self, staged, op):
-        group, client = staged
-        d = _desc()
-        client.put(d, make_payload(d))
-        inject_faults(group, [FaultPlan(server=1, op=0, kind="crash")])
-        with pytest.raises(ServerUnavailable) as err:
-            client.put(_desc(1), make_payload(_desc(1))) if op == "put" else client.get(d)
-        assert err.value.server_id == 1
-        assert group.health.state(1) == "down"
-        assert [group.health.state(s) for s in (0, 2, 3)] == ["up"] * 3
-        shards = StagingClient._by_server(group.placement.shards(d.bbox))
-        asked = [group.servers[sid].op_count for sid in shards]
-        if group.transport.remote:
-            # Servers after the crashed one in placement order were asked,
-            # answered, and had their replies consumed before the raise.
-            assert asked == [1] * SERVERS
+    def test_crash_marks_down_and_raises_after_the_other_replies(self, op, pooled):
+        """Every transport, inline or pooled: servers after the crashed one
+        in placement order are asked, answer, and have their replies
+        consumed before the raise."""
+        group, client = pooled_or_inline(pooled)
+        try:
+            d = _desc(domain=group.domain)
+            client.put(d, make_payload(d))
+            inject_faults(group, [FaultPlan(server=1, op=0, kind="crash")])
+            d1 = _desc(1, group.domain)
+            with pytest.raises(ServerUnavailable) as err:
+                client.put(d1, make_payload(d1)) if op == "put" else client.get(d)
+            assert err.value.server_id == 1
+            assert group.health.state(1) == "down"
+            assert [group.health.state(s) for s in (0, 2, 3)] == ["up"] * 3
+            shards = StagingClient._by_server(group.placement.shards(d.bbox))
+            assert [group.servers[sid].op_count for sid in shards] == [1] * SERVERS
             assert not unsettled(group)
             if op == "put":
                 for sid in (0, 2, 3):
-                    descs = [_desc(1).with_bbox(box) for box in shards[sid]]
+                    descs = [d1.with_bbox(box) for box in shards[sid]]
                     assert group.servers[sid].covers_all(descs)
-        else:
-            # The sequential reference stops at the server that failed.
-            reached = list(shards).index(1) + 1
-            assert asked == [1] * reached + [0] * (SERVERS - reached)
+        finally:
+            group.close()
 
     @pytest.mark.parametrize("down", range(SERVERS))
     def test_covers_never_probes_a_down_server(self, staged, down):

@@ -249,7 +249,7 @@ class TestRebuild:
         ]
         total = get_registry().histogram("staging.rebuild.seconds")
         before = [h.count for h in stages], total.total, sum(h.total for h in stages)
-        assert group.rebuild(2, parallel=False) > 0
+        assert group.rebuild(2) > 0
         assert [h.count for h in stages] == [n + 1 for n in before[0]]
         # Serial rebuild: the stages are disjoint slices of the whole.
         assert sum(h.total for h in stages) - before[2] <= total.total - before[1]
@@ -273,7 +273,7 @@ class TestRebuild:
         monkeypatch.setattr(
             resilience, "_digest", lambda buf: hashed.append(buf) or digest(buf)
         )
-        assert group.rebuild(lost, parallel=False) > 0
+        assert group.rebuild(lost) > 0
         shard0 = [buf for buf in hashed if digest(buf) == rec.shards[0].digest]
         assert len(shard0) == 1
 

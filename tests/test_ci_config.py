@@ -3,6 +3,8 @@ fails silently on the forge, so parse it here where a human sees it."""
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import pathlib
 import re
 
@@ -197,3 +199,32 @@ class TestKnobCensus:
 
     def test_ci_sets_no_retired_knob(self):
         assert set(re.findall(r"REPRO_[A-Z_]+", CI_PATH.read_text())) <= self.KNOBS
+
+
+class TestParallelCensus:
+    """``parallel`` is one switch, on the group: no layer above or beside it
+    keeps a serial twin of its own, and the pool's size gate is a module
+    constant rather than a per-group setting."""
+
+    def test_parallel_is_a_parameter_of_the_group_only(self):
+        from repro.runtime.staging_service import SynchronizedStaging
+        from repro.runtime.workflow import ThreadedWorkflow
+        from repro.staging.client import StagingGroup
+        from repro.staging.cow import StagingCheckpointer
+        from repro.staging.resilience import rebuild_server
+
+        assert "parallel" in inspect.signature(StagingGroup.create).parameters
+        for fn in (
+            SynchronizedStaging.__init__,
+            ThreadedWorkflow.__init__,
+            rebuild_server,
+            StagingGroup.rebuild,
+            StagingCheckpointer.capture_full,
+            StagingCheckpointer.restore,
+        ):
+            assert "parallel" not in inspect.signature(fn).parameters, fn.__qualname__
+
+    def test_pool_threshold_is_not_a_group_field(self):
+        from repro.staging.client import StagingGroup
+
+        assert "parallel_threshold" not in {f.name for f in dataclasses.fields(StagingGroup)}
