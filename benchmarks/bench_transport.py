@@ -14,7 +14,7 @@ Measurements feeding the ``transport`` section of BENCH_micro.json:
   must stay ≥3× the TCP rate (the segment path skips both kernel socket
   copies per payload).
 * **batched vs per-fragment puts over TCP** — ``put_many`` ships N
-  fragments in one pipelined frame; the unbatched loop pays one round trip
+  fragments in one request frame; the unbatched loop pays one round trip
   per fragment. Reported with the measured round-trip counts from the
   ``net.tcp.requests`` counter, not an assumption.
 * **mux under concurrency** — 8 client threads hammering small ops

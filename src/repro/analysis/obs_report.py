@@ -301,15 +301,6 @@ def net_report(snapshot: dict[str, dict] | None = None) -> str:
                 f"{_fmt(requests['max'])}",
             ]
         )
-    batches = snapshot.get("net.tcp.batch.size", {})
-    if batches.get("count"):
-        rows.append(
-            [
-                "pipelined batches (n / mean ops / max ops)",
-                f"n={batches['count']} mean={_fmt(batches['mean'])} "
-                f"max={_fmt(batches['max'])}",
-            ]
-        )
     if val("net.tcp.wire_errors"):
         rows.append(["wire errors (mapped to staging errors)", _fmt(val("net.tcp.wire_errors"))])
     spawns = snapshot.get("net.tcp.spawn.seconds", {})

@@ -10,10 +10,10 @@ The staging substrate reaches its servers through a pluggable *transport*:
   server (DataSpaces-style), reached over one multiplexed TCP connection
   per server (:mod:`repro.net.mux`) carrying request-id frames
   (:mod:`repro.net.frames`), a struct-tagged object codec
-  (:mod:`repro.net.codec`), scatter-gather sends (``sendmsg`` over the
-  codec's iovec output), and pipelined request batching
-  (:mod:`repro.net.tcp`). Wire-level failures map onto the
-  existing :class:`~repro.errors.ServerUnavailable` /
+  (:mod:`repro.net.codec`) and scatter-gather sends (``sendmsg`` over the
+  codec's iovec output), one request per frame (:mod:`repro.net.tcp`).
+  Wire-level failures map onto the existing
+  :class:`~repro.errors.ServerUnavailable` /
   :class:`~repro.errors.TransientServerError` taxonomy, so retry/backoff,
   health mark-down, degraded reads, and rebuild work unchanged over sockets.
 * :class:`~repro.net.shm.ShmTransport` — same server processes and fault
@@ -25,8 +25,9 @@ The staging substrate reaches its servers through a pluggable *transport*:
 Select a transport per group (``StagingGroup.create(transport="shm")``) or
 process-wide via the ``REPRO_TRANSPORT`` environment variable (used by the
 CI transport matrix). See DESIGN.md §13 for the frame layout, the RPC op
-table, the error-mapping table, and the batching rules, and §14 for the
-shared-memory data plane (segment layout, grants, lifecycle, fallbacks).
+table, the error-mapping table, and the one-request-per-server rule, and
+§14 for the shared-memory data plane (segment layout, grants, lifecycle,
+fallbacks).
 """
 
 from repro.net.codec import decode, encode

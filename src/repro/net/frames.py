@@ -63,8 +63,8 @@ __all__ = [
 # sendmsg vector ceiling per call (UIO_MAXIOV is 1024 on Linux; stay under).
 _SENDMSG_MAX_VECS = 512
 
-# Generous ceiling: the largest legitimate frame is a batched put of one
-# put_many call (a few hundred MB would already be an absurd single batch).
+# Generous ceiling: the largest legitimate frame is one put_many request
+# carrying a server's fragments (a few hundred MB would already be absurd).
 MAX_FRAME_BYTES = 1 << 31  # 2 GiB
 
 #: Sentinel word opening every frame. Greater than MAX_FRAME_BYTES, so the

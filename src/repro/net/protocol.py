@@ -12,9 +12,9 @@ Three message kinds ride the frames, all encoded with the codec
   :data:`WIRE_ERRORS`; only those types cross the wire typed, anything else
   arrives as ``("err", "staging", ...)`` → :class:`~repro.errors.StagingError`.
 
-Batched requests (the pipelining path) wrap N requests in one frame::
-
-    ("batch", [("req", op, args), ...])  →  ("batch_ok", [response, ...])
+Every frame carries exactly one request or one reply: a multi-fragment
+scatter/gather is one ``put_many`` / ``get_many`` request, never several
+requests packed together.
 
 The shared-memory transport (:mod:`repro.net.shm`) sends the same shapes;
 values inside ``args`` / responses may be :class:`~repro.net.codec.SegRef`
@@ -22,11 +22,6 @@ tags pointing into shared segments. Only a request that *grants* the server
 a response segment has its own shape, ``("sreq", op, args, grant)`` with
 ``grant = ("grant", segment_name, generation, capacity)`` — a client-owned
 segment the server may scatter bulk reply payloads into.
-
-where each inner response is itself an ``("ok", ...)`` or ``("err", ...)``
-tuple — one slow/faulty op in a batch doesn't poison its neighbours; the
-client unpacks per-op results and raises per-op errors exactly as if each
-had been its own round trip.
 
 Staging-level errors are distinct from *wire-level* failures: the latter
 (connect refused, reset, timeout, short read) never appear as ``("err", ...)``
@@ -55,7 +50,6 @@ from repro.obs import registry as _obs
 __all__ = [
     "WIRE_ERRORS",
     "encode_request_iov",
-    "encode_batch_iov",
     "encode_response_iov",
     "encode_error",
     "decode_message",
@@ -107,30 +101,14 @@ def encode_request_iov(op: str, args: tuple, *, grant=None, array_sink=None) -> 
     return encode_iov(("sreq", op, args, grant), array_sink=array_sink)
 
 
-def encode_batch_iov(requests: list, *, array_sink=None) -> list:
-    """N ``("req", op, args)`` tuples as one pipelined frame's iovec."""
-    return encode_iov(("batch", requests), array_sink=array_sink)
-
-
 def encode_response_iov(value, *, array_sink=None) -> list:
     return encode_iov(("ok", value), array_sink=array_sink)
 
 
 def encode_error(exc: BaseException, server_id: int) -> bytes:
-    return encode(_error_tuple(exc, server_id))
-
-
-def _error_tuple(exc: BaseException, server_id: int) -> tuple:
     if isinstance(exc, _SERVER_SCOPED):
         server_id = exc.server_id
-    return ("err", error_kind_for(exc), server_id, str(exc))
-
-
-def batch_item_result(value=None, exc: BaseException | None = None, server_id: int = -1):
-    """One slot of a ``("batch_ok", [...])`` response."""
-    if exc is not None:
-        return _error_tuple(exc, server_id)
-    return ("ok", value)
+    return encode(("err", error_kind_for(exc), server_id, str(exc)))
 
 
 def raise_wire_error(kind: str, server_id: int, message: str):
@@ -164,7 +142,6 @@ def _peek_str(view, offset: int) -> tuple[str | None, int]:
         return None, offset
 
 
-
 def peek_request_kind(payload) -> tuple[str | None, str | None]:
     """Cheaply read a request frame's ``(message tag, op name)`` without
     decoding the payload.
@@ -173,9 +150,9 @@ def peek_request_kind(payload) -> tuple[str | None, str | None]:
     admin (``admin:``-prefixed) ops bypass admission control and run inline
     on the loop thread, everything else goes through the bounded queue to
     the worker pool. Reads a handful of header bytes; any shape it does not
-    recognise (batches report ``op=None``, responses and malformed bytes
-    report ``(None, None)``) — callers must treat that as "not admin", never
-    as an error, and let the real decoder rule on validity.
+    recognise (responses and malformed bytes report ``(None, None)``) —
+    callers must treat that as "not admin", never as an error, and let the
+    real decoder rule on validity.
     """
     view = memoryview(payload)
     if len(view) < 5 or view[0] != _TAG_TUPLE:
@@ -186,8 +163,6 @@ def peek_request_kind(payload) -> tuple[str | None, str | None]:
     if tag in ("req", "sreq"):
         op, _ = _peek_str(view, end)
         return tag, op
-    if tag == "batch":
-        return tag, None
     return None, None
 
 
@@ -215,12 +190,6 @@ def decode_message(payload, *, array_source=None, copy_arrays: bool = True) -> t
     elif tag == "err":
         if len(msg) != 4 or not isinstance(msg[1], str) or not isinstance(msg[2], int):
             raise ProtocolError("malformed error response")
-    elif tag == "batch":
-        if len(msg) != 2 or not isinstance(msg[1], list):
-            raise ProtocolError("malformed batch request")
-    elif tag == "batch_ok":
-        if len(msg) != 2 or not isinstance(msg[1], list):
-            raise ProtocolError("malformed batch response")
     else:
         raise ProtocolError(f"unknown message tag {tag!r}")
     return msg

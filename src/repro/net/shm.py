@@ -65,10 +65,6 @@ import numpy as np
 
 from repro.net.codec import SegRef
 from repro.net.frames import ProtocolError
-from repro.net.protocol import (
-    encode_batch_iov,
-    encode_request_iov,
-)
 from repro.net.tcp import TcpTransport, _Endpoint
 from repro.obs import registry as _obs
 from repro.staging.store import StoredObject
@@ -527,7 +523,8 @@ def _desc_nbytes(desc) -> int:
 class _SegmentWriter:
     """``array_sink`` for requests: bump-pointer copies eligible arrays
     into one slab (a single strided copy, straight from the caller's —
-    possibly non-contiguous — array) and returns their SegRefs."""
+    possibly non-contiguous — array), counts them as out-of-band bytes and
+    returns their SegRefs."""
 
     __slots__ = ("slab", "payload", "cursor", "placed_bytes")
 
@@ -550,6 +547,7 @@ class _SegmentWriter:
         np.copyto(dest, arr)
         self.cursor = offset + nbytes
         self.placed_bytes += nbytes
+        _OOB_BYTES.inc(nbytes)
         return SegRef(
             self.slab.name,
             self.slab.generation,
@@ -742,91 +740,45 @@ class _ShmEndpoint(_Endpoint):
         super().__init__(server_id, process, port, queue_depth)
         self.pool = SegmentPool()
 
-    def _grant_for(self, slab: _Slab | None):
-        if slab is None:
-            return None
-        return ("grant", slab.name, slab.generation, slab.capacity)
-
     def _return_slabs(self, slabs: list, clean: bool) -> None:
         """Slab disposition once their request is settled. A decoded reply
         — ok *or* typed staging error — means the server finished the op
-        and is done with the slabs: recycle. A wire failure or an abandoned
-        call means its fate (and any in-flight write into the grant) is
-        unknowable: retire, never recycle."""
+        and is done with the slabs: recycle. A wire failure, an abandoned
+        call or a request that never encoded means its fate (and any
+        in-flight write into the grant) is unknowable: retire, never
+        recycle."""
         for slab in slabs:
             (self.pool.release if clean else self.pool.retire)(slab)
 
-    def request(self, op: str, args: tuple, *, pending: bool = False):
-        if op.startswith("admin:"):
-            return super().request(op, args, pending=pending)
+    def _placement(self, op: str, args: tuple):
+        """Put-side arrays into a request slab, get-side replies into a
+        granted one; admin ops, every other op, and an exhausted pool leave
+        the bytes on the frame."""
         pool = self.pool
-        req_slab = resp_slab = None
-        sink = None
+        slabs = []
+        sink = grant = resp_slab = None
         if op in SHM_REQUEST_OPS:
             need = oob_payload_bytes(args)
-            if need:
-                req_slab = pool.acquire(need)
-                if req_slab is not None:
-                    sink = _SegmentWriter(req_slab)
-        grant = None
+            req_slab = pool.acquire(need) if need else None
+            if req_slab is not None:
+                slabs.append(req_slab)
+                sink = _SegmentWriter(req_slab)
         if op in GRANT_OPS:
             expected = expected_response_bytes(op, args)
             if expected >= MIN_ARRAY_BYTES:
                 resp_slab = pool.acquire(expected)
-                grant = self._grant_for(resp_slab)
-                if resp_slab is not None:
-                    _GRANT_BYTES.inc(expected)
-        if sink is None and grant is None:
-            return super().request(op, args, pending=pending)
-        slabs = [slab for slab in (req_slab, resp_slab) if slab is not None]
-        try:
-            parts = encode_request_iov(op, args, grant=grant, array_sink=sink)
-        except BaseException:
-            self._return_slabs(slabs, False)
-            raise
-        if sink is not None:
-            _OOB_BYTES.inc(sink.placed_bytes)
-        # The slabs ride the call: whoever settles it returns them.
-        call = self._begin(
-            parts,
-            self._unpack_response,
-            array_source=_ResponseResolver(pool, resp_slab),
-            on_settled=partial(self._return_slabs, slabs),
-            windowed=pending,
+            if resp_slab is not None:
+                _GRANT_BYTES.inc(expected)
+                slabs.append(resp_slab)
+                grant = ("grant", resp_slab.name, resp_slab.generation, resp_slab.capacity)
+        if not slabs:
+            return None
+        return (
+            grant,
+            sink,
+            _ResponseResolver(pool, resp_slab),
+            partial(self._return_slabs, slabs),
         )
-        return call if pending else call.result()
-
-    def request_batch(self, requests, *, pending: bool = False):
-        pool = self.pool
-        # Segments only when every op in the batch consumes its payload
-        # before replying (see SHM_REQUEST_OPS); mixed batches with ops
-        # that retain arrays (restore) stay on the wire.
-        placeable = bool(requests) and all(op in SHM_REQUEST_OPS for op, _ in requests)
-        req_slab = None
-        sink = None
-        if placeable:
-            need = sum(oob_payload_bytes(args) for _, args in requests)
-            if need:
-                req_slab = pool.acquire(need)
-                if req_slab is not None:
-                    sink = _SegmentWriter(req_slab)
-        if sink is None:
-            return super().request_batch(requests, pending=pending)
-        try:
-            parts = encode_batch_iov(
-                [("req", op, args) for op, args in requests], array_sink=sink
-            )
-        except BaseException:
-            self._return_slabs([req_slab], False)
-            raise
-        _OOB_BYTES.inc(sink.placed_bytes)
-        call = self._begin(
-            parts,
-            self._unpack_batch,
-            on_settled=partial(self._return_slabs, [req_slab]),
-            windowed=pending,
-        )
-        return call if pending else call.result()
 
     def close(self, *, shutdown_op: bool = True) -> None:
         super().close(shutdown_op=shutdown_op)

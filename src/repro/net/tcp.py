@@ -31,8 +31,7 @@ reused: its stream position is unknowable after an error.
 than echoing the stored objects back (no group-level caller consumes them;
 the inproc return values exist for direct server use). ``put_many`` and
 ``get_many`` are single ops — a whole multi-shard scatter/gather rides one
-round trip — and :meth:`RemoteServer.pipeline` additionally packs arbitrary
-op sequences into one frame (one round trip for N ops).
+round trip.
 
 Connections. Every endpoint *multiplexes*: all caller threads share one
 socket through :class:`~repro.net.mux.MuxConnection` — frames with request
@@ -41,15 +40,17 @@ ids, replies demuxed by a reader thread, the calling thread's
 *timeout* fails only its own request; any other wire failure retires the
 connection for everyone sharing it, and the next request dials a fresh one.
 
-Every frame is issued by :meth:`_Endpoint.request` / ``request_batch`` and
-exists as a :class:`_PendingCall` until its reply is consumed. The
-synchronous form settles the call at once; ``pending=True`` hands it back
-unsettled, which is how :meth:`RemoteServer.begin` lets one caller thread
-keep a request in flight on every server of a group
-(``StagingClient.fan_out``). An overlapped frame is held back client-side
-while its thread already has ``queue_depth`` overlapped requests unanswered
-on the endpoint — the server's own admission bound — so one caller's burst
-waits instead of being shed.
+Every frame is one request issued by :meth:`_Endpoint.request`, and exists
+as a :class:`_PendingCall` until its reply is consumed. A transport decides
+only where the request's payload bytes go (:meth:`_Endpoint._placement`;
+the shm endpoint's shared segments). The synchronous form settles the call
+at once; ``pending=True`` hands it back unsettled, which is how
+:meth:`RemoteServer.begin` lets one caller thread keep a request in flight
+on every server of a group (``StagingClient.fan_out``). An overlapped
+frame is held back client-side while its thread already has
+``queue_depth`` overlapped requests unanswered on the endpoint — the
+server's own admission bound — so one caller's burst waits instead of
+being shed.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ from repro.net.frames import WireClosed, WireError
 from repro.net.mux import MuxConnection, current_deadline
 from repro.net.protocol import (
     decode_message,
-    encode_batch_iov,
     encode_request_iov,
     raise_wire_error,
 )
@@ -89,7 +89,6 @@ _BYTES_SENT = _obs.counter("net.tcp.bytes_sent")
 _BYTES_RECEIVED = _obs.counter("net.tcp.bytes_received")
 _CONNECTS = _obs.counter("net.tcp.connects")
 _WIRE_ERRORS = _obs.counter("net.tcp.wire_errors")
-_BATCH_SIZE = _obs.histogram("net.tcp.batch.size")
 _SPAWNS = _obs.counter("net.tcp.server_spawns")
 _SPAWN_SECONDS = _obs.histogram("net.tcp.spawn.seconds")
 
@@ -158,7 +157,6 @@ class _PendingCall:
 
     __slots__ = (
         "_endpoint",
-        "_unpack",
         "_on_settled",
         "array_source",
         "conn",
@@ -169,9 +167,8 @@ class _PendingCall:
         "t0",
     )
 
-    def __init__(self, endpoint: "_Endpoint", unpack, array_source, on_settled) -> None:
+    def __init__(self, endpoint: "_Endpoint", array_source, on_settled) -> None:
         self._endpoint: _Endpoint | None = endpoint
-        self._unpack = unpack
         self._on_settled = on_settled
         self.array_source = array_source
         self.conn: MuxConnection | None = None
@@ -189,7 +186,7 @@ class _PendingCall:
         try:
             msg = endpoint.receive(self)
             clean = True
-            return self._unpack(msg)
+            return endpoint._unpack_response(msg)
         finally:
             if self._on_settled is not None:
                 self._on_settled(clean)
@@ -304,7 +301,7 @@ class _Endpoint:
         return mine
 
     def _begin(
-        self, parts: list, unpack, *, array_source=None, on_settled=None, windowed=False
+        self, parts: list, *, array_source=None, on_settled=None, windowed=False
     ) -> _PendingCall:
         """Send one iovec frame; the returned call's ``result()`` receives,
         decodes and unpacks the reply.
@@ -315,7 +312,7 @@ class _Endpoint:
         however late each is settled. ``windowed`` frames first wait for a
         send window below the server's queue depth.
         """
-        call = _PendingCall(self, unpack, array_source, on_settled)
+        call = _PendingCall(self, array_source, on_settled)
         deadline = current_deadline()
         timeout = REQUEST_TIMEOUT
         if deadline:
@@ -375,47 +372,36 @@ class _Endpoint:
             WireClosed(f"unexpected reply tag {msg[0]!r}"), self.server_id
         )
 
+    def _placement(self, op: str, args: tuple):
+        """Where this request's payload bytes go besides the frame itself.
+
+        ``None`` — the tcp answer — puts every byte on the frame. A
+        transport with a side channel returns ``(grant, array_sink,
+        array_source, on_settled)``: the response grant and request array
+        sink for the encoder, the resolver for the reply's arrays, and the
+        disposition of whatever was lent, run once with whether a decoded
+        reply came back (``False`` also when encoding fails).
+        """
+        return None
+
     def request(self, op: str, args: tuple, *, pending: bool = False):
         """One op, one frame. ``pending=True`` returns the issued
         :class:`_PendingCall` instead of settling it."""
-        call = self._begin(
-            encode_request_iov(op, args), self._unpack_response, windowed=pending
-        )
-        return call if pending else call.result()
-
-    def request_batch(self, requests: list[tuple[str, tuple]], *, pending: bool = False):
-        """Pipeline N ops in one frame; returns per-op values in order (or,
-        with ``pending=True``, the issued call that will).
-
-        The first failed op's error is raised (after the whole batch ran
-        server-side — batches are not transactions, matching the semantics
-        of issuing the ops back-to-back on one connection).
-        """
-        _BATCH_SIZE.record(len(requests))
-        parts = encode_batch_iov([("req", op, args) for op, args in requests])
-        call = self._begin(parts, self._unpack_batch, windowed=pending)
-        return call if pending else call.result()
-
-    def _unpack_batch(self, msg: tuple) -> list:
-        if msg[0] != "batch_ok":
-            if msg[0] == "err":
-                raise_wire_error(msg[1], msg[2], msg[3])
-            raise _map_wire_error(
-                WireClosed(f"unexpected reply tag {msg[0]!r}"), self.server_id
+        placement = self._placement(op, args)
+        if placement is None:
+            call = self._begin(encode_request_iov(op, args), windowed=pending)
+        else:
+            grant, sink, source, on_settled = placement
+            try:
+                parts = encode_request_iov(op, args, grant=grant, array_sink=sink)
+            except BaseException:
+                on_settled(False)
+                raise
+            # What was lent rides the call: whoever settles it returns it.
+            call = self._begin(
+                parts, array_source=source, on_settled=on_settled, windowed=pending
             )
-        values = []
-        error = None
-        for item in msg[1]:
-            if item[0] == "ok":
-                values.append(item[1])
-            elif error is None:
-                values.append(None)
-                error = item
-            else:
-                values.append(None)
-        if error is not None:
-            raise_wire_error(error[1], error[2], error[3])
-        return values
+        return call if pending else call.result()
 
     # ------------------------------------------------------------ lifecycle
 
@@ -528,10 +514,6 @@ class RemoteServer:
         ``result()`` returns or raises what ``getattr(self, op)(*args)``
         would have. Every call must be settled (``result`` or ``abandon``)."""
         return self._endpoint.request(op, args, pending=True)
-
-    def pipeline(self, requests: list[tuple[str, tuple]]) -> list:
-        """Run N ops in one round trip (see ``_Endpoint.request_batch``)."""
-        return self._endpoint.request_batch(requests)
 
     @property
     def nbytes(self) -> int:

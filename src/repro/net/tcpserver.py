@@ -58,10 +58,9 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.errors import DeadlineExceeded, ReproError, ServerBusy
+from repro.errors import DeadlineExceeded, ReproError, ServerBusy, StagingError
 from repro.faults.plan import FaultInjector
 from repro.faults.proxy import FaultyServer
-from repro.net.codec import encode_iov
 from repro.net.frames import (
     Frame,
     MuxFrameDecoder,
@@ -70,7 +69,6 @@ from repro.net.frames import (
     send_vectors,
 )
 from repro.net.protocol import (
-    batch_item_result,
     decode_message,
     encode_error,
     encode_response_iov,
@@ -318,23 +316,11 @@ class Dispatcher:
             # of a torn connection.
             return [encode_error(_as_staging_error(exc), self.server_id)]
         tag = msg[0]
-        if tag == "batch":
-            results = []
-            for item in msg[1]:
-                req = decode_message_item(item)
-                try:
-                    value = self.execute(req[1], req[2])
-                except ReproError as exc:
-                    results.append(batch_item_result(exc=exc, server_id=self.server_id))
-                except Exception as exc:  # programming error: report, keep serving
-                    results.append(
-                        batch_item_result(
-                            exc=_as_staging_error(exc), server_id=self.server_id
-                        )
-                    )
-                else:
-                    results.append(batch_item_result(value))
-            return encode_iov(("batch_ok", results))
+        if tag not in ("req", "sreq"):
+            # A well-formed reply (or any other non-request shape) is never
+            # executed: its fields are not an op and its arguments.
+            error = StagingError(f"not a request frame: tag {tag!r}")
+            return [encode_error(error, self.server_id)]
         sink = None
         if tag == "sreq":
             sink = self._shm_segments().response_sink(msg[3])
@@ -347,22 +333,7 @@ class Dispatcher:
         return encode_response_iov(value, array_sink=sink)
 
 
-def decode_message_item(item) -> tuple:
-    """Validate one inner request of a batch (already-decoded tuple)."""
-    if (
-        not isinstance(item, tuple)
-        or len(item) != 3
-        or item[0] != "req"
-        or not isinstance(item[1], str)
-        or not isinstance(item[2], tuple)
-    ):
-        raise ValueError("malformed batch item")
-    return item
-
-
 def _as_staging_error(exc: Exception):
-    from repro.errors import StagingError
-
     return StagingError(f"{type(exc).__name__}: {exc}")
 
 

@@ -135,14 +135,12 @@ def test_roundtrip_preserves_value_and_type(v):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.text(min_size=1, max_size=10), values), max_size=4))
 def test_request_envelope_roundtrip(calls):
-    """Every RPC message type survives the wire: req, ok, err, batch(+ok)."""
+    """Every RPC message type survives the wire: req, ok, err."""
     reqs = [("req", op, (arg,)) for op, arg in calls]
     for msg in (
         *reqs,
         ("ok", [arg for _op, arg in calls]),
         ("err", "transient", 3, "injected"),
-        ("batch", list(reqs)),
-        ("batch_ok", [("ok", arg) for _op, arg in calls]),
     ):
         assert_same(msg, decode(encode(msg)))
 

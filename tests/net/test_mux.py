@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from repro.descriptors import ObjectDescriptor
 from repro.errors import (
     DeadlineExceeded,
-    ObjectNotFound,
     ServerBusy,
     ServerUnavailable,
     TransientServerError,
@@ -309,28 +308,6 @@ def test_abandoned_handle_leaves_nothing_pending():
         time.sleep(0.4)
         np.testing.assert_array_equal(server.get(desc), make_payload(desc))
         assert _endpoint(group)._conn is conn and not conn.dead
-    finally:
-        group.close()
-
-
-def test_pending_batch_settles_like_the_synchronous_form():
-    group = StagingGroup.create(DOMAIN, num_servers=1, transport=WIRE)
-    try:
-        box = BBox((0, 0, 0), (4, 4, 4))
-        d = ObjectDescriptor("pb", 0, box)
-        payload = make_payload(d)
-        endpoint = _endpoint(group)
-        call = endpoint.request_batch(
-            [("put", (d, payload)), ("covers", (d,)), ("get", (d,))], pending=True
-        )
-        _ack, covered, got = call.result()
-        assert covered is True
-        np.testing.assert_array_equal(got, payload)
-        bad = endpoint.request_batch(
-            [("get", (ObjectDescriptor("ghost", 1, box),))], pending=True
-        )
-        with pytest.raises(ObjectNotFound):
-            bad.result()
     finally:
         group.close()
 

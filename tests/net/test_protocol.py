@@ -23,8 +23,6 @@ from repro.net import (
 )
 from repro.net.protocol import (
     WIRE_ERRORS,
-    batch_item_result,
-    encode_batch_iov,
     encode_error,
     encode_request_iov,
     encode_response_iov,
@@ -44,10 +42,6 @@ class TestEnvelopes:
     def test_response_roundtrip(self):
         assert decode_message(joined(encode_response_iov([1, 2]))) == ("ok", [1, 2])
 
-    def test_batch_roundtrip(self):
-        reqs = [("req", "put", (1,)), ("req", "get", (2,))]
-        assert decode_message(joined(encode_batch_iov(reqs))) == ("batch", reqs)
-
     @pytest.mark.parametrize(
         "raw",
         [
@@ -56,7 +50,7 @@ class TestEnvelopes:
             ("req", "get", [1]),  # args not a tuple
             ("ok",),
             ("err", "transient", "not-an-int", "m"),
-            ("batch", ("req",)),  # payload not a list
+            ("sreq", "get", ()),  # no grant
             ("mystery", 1),
             [1, 2, 3],  # not a tuple at all
             (),
@@ -114,15 +108,6 @@ class TestErrorMapping:
         for i, cls in enumerate(kinds):
             for ancestor in kinds[:i]:
                 assert not issubclass(cls, ancestor), (cls, ancestor)
-
-
-class TestBatchItems:
-    def test_ok_slot(self):
-        assert batch_item_result(value=42) == ("ok", 42)
-
-    def test_error_slot(self):
-        slot = batch_item_result(exc=ObjectNotFound("x@3"), server_id=1)
-        assert slot[0] == "err" and slot[1] == "not_found"
 
 
 @settings(max_examples=100, deadline=None)

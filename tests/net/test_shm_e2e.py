@@ -203,20 +203,6 @@ class TestBatching:
         for g, (_d, p) in zip(got, shards):
             np.testing.assert_array_equal(g, p)
 
-    def test_batch_errors_stay_per_op(self, shm_group):
-        server = shm_group.servers[0]
-        box = BBox((0, 0, 0), (4, 4, 4))
-        d = ObjectDescriptor("w", 0, box)
-        payload = make_payload(d)
-        with pytest.raises(ObjectNotFound):
-            server.pipeline(
-                [
-                    ("put", (d, payload)),
-                    ("get", (ObjectDescriptor("ghost", 1, box),)),
-                ]
-            )
-        np.testing.assert_array_equal(server.get(d), payload)
-
 
 class TestWireFallback:
     def test_exhausted_pool_falls_back_to_wire_frames(self, shm_group):
@@ -264,6 +250,27 @@ class TestLeases:
         d2 = ObjectDescriptor("copy", 1, shard_box)
         shm_group.servers[sid].put(d2, view)
         np.testing.assert_array_equal(shm_group.servers[sid].get(d2), payload)
+
+    def test_request_that_fails_to_encode_retires_its_slabs(self, shm_group):
+        """A slab is taken before the request is encoded; when encoding then
+        fails (an unpicklable trailing ``retain``), the request-side slab of
+        a put_many and the grant of a get_many are both retired, not left
+        checked out, and the pool keeps serving."""
+        server = shm_group.servers[0]
+        endpoint = shm_group.transport.endpoints()[0]
+        box = BBox((0, 0, 0), (8, 8, 8))  # 4 KiB shards: segment-eligible
+        descs = [ObjectDescriptor("enc", v, box) for v in range(4)]
+        shards = [(d, make_payload(d)) for d in descs]
+        for op, args in (("put_many", (shards,)), ("get_many", (descs,))):
+            retired = _counter("net.shm.segments_retired")
+            with pytest.raises(AttributeError, match="pickle"):
+                getattr(server, op)(*args, lambda: None)
+            assert _counter("net.shm.segments_retired") == retired + 1, op
+            assert not endpoint.pool._busy, op
+        server.put_many(shards)
+        for got, (_d, p) in zip(server.get_many(descs), shards):
+            np.testing.assert_array_equal(got, p)
+        assert not endpoint.pool._busy
 
 
 class TestFailStop:

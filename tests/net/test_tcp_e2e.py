@@ -16,6 +16,8 @@ from repro.descriptors import ObjectDescriptor
 from repro.errors import ObjectNotFound, ServerUnavailable, StagingError
 from repro.faults import FaultPlan, inject_faults
 from repro.geometry import BBox, Domain
+from repro.net.codec import encode_iov
+from repro.net.protocol import decode_message
 from repro.net.tcp import TcpTransport
 from repro.staging import ProtectionConfig, StagingClient, StagingGroup
 from repro.staging.resilience import rebuild_server
@@ -98,8 +100,8 @@ def _request_count() -> int:
 
 class TestBatching:
     def test_server_vector_ops_are_single_round_trips(self, tcp_group):
-        """put_many/get_many ride the pipelined batch path: one frame holds
-        the whole vector, never one round trip per fragment."""
+        """put_many/get_many are each one ``req`` frame holding the whole
+        vector, never one round trip per fragment."""
         server = tcp_group.servers[0]
         box = BBox((0, 0, 0), (4, 4, 4))
         descs = [ObjectDescriptor("u", v, box) for v in range(6)]
@@ -120,23 +122,6 @@ class TestBatching:
         before = _request_count()
         StagingClient(tcp_group, client_id="w").put(d, make_payload(d))
         assert _request_count() - before <= len(tcp_group.servers)
-
-    def test_batch_errors_stay_per_op(self, tcp_group):
-        """A failing op in a batch surfaces typed but doesn't poison its
-        neighbours: batches are pipelines, not transactions."""
-        server = tcp_group.servers[0]
-        box = BBox((0, 0, 0), (4, 4, 4))
-        d = ObjectDescriptor("w", 0, box)
-        payload = make_payload(d)
-        with pytest.raises(ObjectNotFound):
-            server.pipeline(
-                [
-                    ("put", (d, payload)),
-                    ("get", (ObjectDescriptor("ghost", 1, box),)),
-                ]
-            )
-        # The put ahead of the failing get still landed.
-        np.testing.assert_array_equal(server.get(d), payload)
 
 
 class TestFailStop:
@@ -268,6 +253,28 @@ class TestInspection:
             with pytest.raises(StagingError, match="not exposed"):
                 server._endpoint.request("admin:inspect", (owner, name, ()))
         assert server.ping()  # a refused inspection costs nothing else
+
+
+class TestNonRequestFrames:
+    def test_server_refuses_frames_that_are_not_requests(self, tcp_group):
+        """Only ``req`` / ``sreq`` frames are executed. A reply-shaped frame
+        naming an admin op, or the retired batch frame, gets a typed error
+        naming its tag; the server's data and the connection survive."""
+        server = tcp_group.servers[0]
+        d = ObjectDescriptor("kept", 0, BBox((0, 0, 0), (4, 4, 4)))
+        payload = make_payload(d)
+        server.put(d, payload)
+        conn = server._endpoint._connection()
+        for msg, tag in (
+            (("err", "admin:reset", 0, "x"), "err"),
+            (("batch", [("req", "get", (d,))]), "batch"),
+        ):
+            reply = decode_message(conn.call(encode_iov(msg)))
+            assert reply[0] == "err" and reply[1] == "staging", reply
+            assert repr(tag) in reply[3]
+        assert server.query_versions("kept") == [0]
+        np.testing.assert_array_equal(server.get(d), payload)
+        assert server.ping()
 
 
 class TestLifecycle:

@@ -228,3 +228,34 @@ class TestParallelCensus:
         from repro.staging.client import StagingGroup
 
         assert "parallel_threshold" not in {f.name for f in dataclasses.fields(StagingGroup)}
+
+
+class TestWireCensus:
+    """One request shape on the wire: every frame is a single request issued
+    by ``_Endpoint.request``, and a transport only decides where payload
+    bytes go (the shm endpoint overrides the placement hook, not the
+    request path). The retired batch frame has no sender, encoder or
+    metric left."""
+
+    def test_shm_endpoint_issues_no_requests_of_its_own(self):
+        from repro.net.shm import _ShmEndpoint
+        from repro.net.tcp import RemoteServer, _Endpoint
+
+        assert "request" in vars(_Endpoint)
+        for name in ("request", "request_batch"):
+            assert name not in vars(_ShmEndpoint), name
+        assert not hasattr(_Endpoint, "request_batch")
+        assert not hasattr(RemoteServer, "pipeline")
+
+    def test_batch_frame_is_gone(self):
+        from repro.net import protocol
+
+        for name in ("encode_batch_iov", "batch_item_result"):
+            assert not hasattr(protocol, name), name
+        src = REPO_ROOT / "src"
+        mentions = [
+            p.relative_to(REPO_ROOT)
+            for p in src.rglob("*.py")
+            if "net.tcp.batch.size" in p.read_text()
+        ]
+        assert mentions == []
