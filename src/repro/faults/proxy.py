@@ -1,13 +1,14 @@
 """Fault-injecting staging-server proxy.
 
 :class:`FaultyServer` wraps a :class:`~repro.staging.server.StagingServer`
-and is drop-in substitutable for it inside a
-:class:`~repro.staging.client.StagingGroup`: every *data-path* operation
-(put/get/covers/query/evict and the protection blob ops) first advances the
+(a versioned store plus its protection-blob side-store) and is drop-in
+substitutable for it inside a :class:`~repro.staging.client.StagingGroup`:
+every *data-path* operation a client sends (put/get/covers/query, evict and
+retention, and the protection blob ops) first advances the
 server's op counter, polls the shared :class:`~repro.faults.plan.FaultInjector`
 for newly due plans, and then applies whatever fault state is active.
 
-Administrative operations — ``snapshot``/``restore``/``rebuild_index`` and
+Administrative operations — ``snapshot``/``restore``/journaling and
 attribute access (``lock``, ``store``, ``nbytes``, ...) — pass through
 unfaulted: they model the runtime's *control plane* (the coordinated
 checkpoint protocol operates on surviving state), while the fault library
@@ -56,9 +57,7 @@ _FAULTED_OPS = (
     "covers_all",
     "query_versions",
     "evict",
-    "evict_older_than_version",
     "evict_consumed",
-    "keep_only_latest",
 )
 # Reads whose results a `corrupt` fault may silently damage.
 _READ_OPS = ("get", "get_many", "get_blob")
@@ -218,19 +217,13 @@ class FaultyServer:
     def evict(self, *a, **kw):
         return self._faulted_call("evict", *a, **kw)
 
-    def evict_older_than_version(self, *a, **kw):
-        return self._faulted_call("evict_older_than_version", *a, **kw)
-
     def evict_consumed(self, *a, **kw):
         return self._faulted_call("evict_consumed", *a, **kw)
-
-    def keep_only_latest(self, *a, **kw):
-        return self._faulted_call("keep_only_latest", *a, **kw)
 
     # ---------------------------------------------------------- control plane
 
     def __getattr__(self, name: str):
-        # snapshot/restore/rebuild_index/summary/nbytes/store/index/lock/...
+        # snapshot/restore/seal_delta/nbytes/store/lock/...
         return getattr(self.inner, name)
 
 

@@ -78,7 +78,6 @@ from repro.net.protocol import (
 from repro.net.tcpserver import INSPECTABLE, SERVER_OPS, run_server
 from repro.net.transport import Transport
 from repro.obs import registry as _obs
-from repro.staging.index import SpatialIndex
 from repro.staging.store import ObjectStore
 
 __all__ = ["TcpTransport", "RemoteServer", "RemoteFaultHandle", "shutdown_all"]
@@ -434,13 +433,13 @@ class _Endpoint:
 
 
 class _RemoteView:
-    """Read facade over one attribute (``store`` / ``index``) of the server
-    process's *unwrapped* server, matching ``FaultyServer``'s control-plane
+    """Read facade over one attribute (``store``) of the server process's
+    *unwrapped* server, matching ``FaultyServer``'s control-plane
     passthrough.
 
     Mirrors what tests and the checkpointer read on local servers
-    (``store.object_count``, ``index.versions(name)``, ``len(index)``, ...)
-    through the single ``admin:inspect`` op; the server process checks every
+    (``store.object_count``, ``store.versions(name)``, ...) through the
+    single ``admin:inspect`` op; the server process checks every
     name against :data:`~repro.net.tcpserver.INSPECTABLE`. ``local_type`` is
     the attribute's class, consulted only for *shape*: a property is read at
     attribute access, a method is called when the caller calls it.
@@ -461,16 +460,13 @@ class _RemoteView:
             return self._inspect(name)
         return partial(self._inspect, name)
 
-    def __len__(self) -> int:
-        return self._inspect("__len__")
-
 
 class RemoteServer:
     """Client-side proxy for one staging-server process.
 
     Drop-in for :class:`~repro.staging.server.StagingServer` inside
     ``StagingGroup.servers``: the full method surface plus the control-plane
-    attributes the runtime and tests touch (``store`` / ``index`` facades, ``inner``
+    attributes the runtime and tests touch (the ``store`` facade, ``inner``
     — itself, faults live server-side — and ``heal``).
     """
 
@@ -479,7 +475,6 @@ class RemoteServer:
         self.server_id = endpoint.server_id
         self.lock = threading.RLock()  # parity with StagingServer.lock
         self.store = _RemoteView(endpoint, "store", ObjectStore)
-        self.index = _RemoteView(endpoint, "index", SpatialIndex)
         # Set by the transport's fault hook (shared RemoteFaultHandle),
         # mirroring FaultyServer.injector.
         self.injector = None

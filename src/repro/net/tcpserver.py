@@ -99,18 +99,13 @@ SERVER_OPS = frozenset(
         "get_many",
         "put_blob",
         "get_blob",
-        "blob_keys",
         "covers",
         "covers_all",
         "query_versions",
         "evict",
-        "evict_older_than_version",
         "evict_consumed",
-        "keep_only_latest",
         "snapshot",
         "restore",
-        "rebuild_index",
-        "summary",
         "enable_journal",
         "disable_journal",
         "journal_mutation_count",
@@ -121,21 +116,18 @@ SERVER_OPS = frozenset(
 SERVER_PROPS = frozenset({"nbytes", "protection_nbytes"})
 
 # What the control plane may touch on the unwrapped server through
-# ``admin:inspect`` (RemoteServer.store / .index): attribute → allowed names.
+# ``admin:inspect`` (RemoteServer.store): attribute → allowed read-only names.
 INSPECTABLE = {
     "store": frozenset(
         {
             "object_count",
             "nbytes",
             "fragments",
-            "fragment_count",
             "versions",
             "keys",
             "latest_version",
-            "clear",
         }
     ),
-    "index": frozenset({"names", "versions", "nbytes", "__len__"}),
 }
 
 

@@ -12,7 +12,7 @@ Lock hierarchy (outer to inner; see DESIGN.md, performance architecture):
    scripts, event queues, the data log, and the GC. Held only for the
    metadata phases of an operation.
 2. **per-server locks** (``StagingServer.lock``) — guard one server's store
-   and index. The payload phase of a put/get holds only these, so requests
+   and blobs. The payload phase of a put/get holds only these, so requests
    whose shards land on different servers move bytes concurrently.
 
 A request is serviced as *plan (meta) → move payload (server locks) → commit
@@ -603,11 +603,11 @@ class SynchronizedStaging:
         With the data plane quiesced, the checkpointer hands every server
         its part of the snapshot: the base plus, for an incremental
         snapshot, the server's own sealed journals, which it re-applies in
-        place (:meth:`StagingServer.restore` rolls store, index and blobs
-        back together, so the metadata layer never points at rolled-back
-        versions). Per-server work is independent and fans out on the shard
-        pool when the group is ``parallel``. The read frontiers, protection
-        records and health rewind with the data.
+        place (:meth:`StagingServer.restore` rolls store and blobs back
+        together, so no blob outlives its rolled-back version). Per-server
+        work is independent and fans out on the shard pool when the group
+        is ``parallel``. The read frontiers, protection records and health
+        rewind with the data.
         """
         t0 = time.monotonic()
         ckpt = self.staging.checkpointer

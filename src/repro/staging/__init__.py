@@ -1,5 +1,5 @@
-"""Staging substrate: versioned object store, spatial index, DHT placement,
-servers and the client-side geometric put/get API."""
+"""Staging substrate: versioned object store, DHT placement, servers and
+the client-side geometric put/get API."""
 
 from repro.staging.client import StagingClient, StagingGroup
 from repro.staging.cow import (
@@ -9,7 +9,6 @@ from repro.staging.cow import (
     snapshot_cost_bytes,
 )
 from repro.staging.hashing import PlacementMap
-from repro.staging.index import IndexEntry, SpatialIndex
 from repro.staging.resilience import (
     GroupHealth,
     ProtectionConfig,
@@ -29,8 +28,6 @@ __all__ = [
     "is_cow_snapshot",
     "snapshot_cost_bytes",
     "PlacementMap",
-    "IndexEntry",
-    "SpatialIndex",
     "StagingServer",
     "ObjectStore",
     "StoredObject",

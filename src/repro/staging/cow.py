@@ -5,9 +5,9 @@ structure on every epoch — O(total fragments) even when almost nothing
 changed. This module makes checkpoint capture O(mutations since the last
 epoch) instead:
 
-* every mutable staging layer (:class:`~repro.staging.store.ObjectStore`,
-  :class:`~repro.staging.index.SpatialIndex`, the server blob side-store and
-  the group :class:`~repro.staging.resilience.ProtectionIndex`) keeps a
+* every mutable staging layer (each server's
+  :class:`~repro.staging.store.ObjectStore` and blob side-store, and the
+  group :class:`~repro.staging.resilience.ProtectionIndex`) keeps a
   **mutation journal** — one tuple per effective put/evict/clear;
 * sealing an epoch detaches those journals in O(1) per layer (a list swap),
   which is the *only* work done under the service's quiescence gate;
@@ -18,8 +18,8 @@ epoch) instead:
   the only code that re-applies it (``apply_journal``), through the same
   mutators that wrote it. This module never looks inside a journal.
 
-A full snapshot has one shape — ``servers`` (store and index with their
-running aggregates, blobs), ``frontier``, ``protection``, ``health`` —
+A full snapshot has one shape — ``servers`` (store with its running
+aggregates, blobs), ``frontier``, ``protection``, ``health`` —
 whether it is a chain's base, a ``full=True`` capture, a folded chain or
 the never-checkpointed empty group.
 
@@ -29,10 +29,10 @@ chain memory never creep. When an epoch's journal grows to the same order as
 the live state (high churn), sealing falls back to a fresh full capture —
 replaying the journal would cost more than re-snapshotting.
 
-All journaled values (fragments, index entries, protection records, blob
-payloads) are immutable by repo convention, so journals and deltas share
-them with the live structures — a delta's memory cost is its container
-tuples, never payload bytes.
+All journaled values (fragments, protection records, blob payloads) are
+immutable by repo convention, so journals and deltas share them with the
+live structures — a delta's memory cost is its container tuples, never
+payload bytes.
 """
 
 from __future__ import annotations
@@ -193,8 +193,9 @@ class StagingCheckpointer:
         # Deltas kept before folding the chain into a new base.
         self.max_chain = 8
         # Seal falls back to a full capture once journal length reaches
-        # ratio × (2 × live fragments): past that point replaying the
-        # journal costs as much as re-copying the containers.
+        # ratio × live fragments (one journal entry per fragment put): past
+        # that point replaying the journal costs as much as re-copying the
+        # containers.
         self.full_fallback_ratio = 1.0
         self.epoch = 0
         self.journaling = False
@@ -232,10 +233,10 @@ class StagingCheckpointer:
             return True
         mutations = sum(s.journal_mutation_count() for s in self.group.servers)
         mutations += self.group.records.journal_len()
-        if mutations <= 64:
+        if mutations <= 32:
             return False
         fragments = sum(s.store.object_count for s in self.group.servers)
-        return mutations >= self.full_fallback_ratio * 2 * max(1, fragments)
+        return mutations >= self.full_fallback_ratio * max(1, fragments)
 
     def mark_dirty(self) -> None:
         """Invalidate the chain: live state no longer matches the journals."""

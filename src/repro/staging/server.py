@@ -1,18 +1,20 @@
-"""A staging server: versioned store + metadata index.
+"""A staging server: versioned store + protection-blob side-store.
 
 This is the synchronous in-memory core shared by both execution substrates:
 the threaded runtime wraps it in a service loop, and the performance
 simulator attaches service-time models to the same operations.
 
-The store and the index are updated in lockstep — every fragment the store
-accepts gains exactly one index entry of the same byte size, and every
-eviction and snapshot/restore touches both — so ``index.versions(name) ==
-store.versions(name)`` and ``index.nbytes() == store.nbytes`` hold at every
-operation boundary (property-tested in tests/staging).
+The :class:`~repro.staging.store.ObjectStore` is the server's metadata as
+well as its data: its ``(name, version)`` map answers coverage, version and
+byte queries. Protection blobs (parity shards, shard copies) live beside it,
+keyed by the same ``(name, version)``; evicting a version and every
+snapshot/restore touch both, so no blob outlives the version it protects
+(property-tested in tests/staging).
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from time import perf_counter
 
@@ -21,7 +23,6 @@ import numpy as np
 from repro.descriptors.odsc import ObjectDescriptor
 from repro.errors import ObjectNotFound
 from repro.obs import registry as _obs
-from repro.staging.index import SpatialIndex
 from repro.staging.store import ObjectStore, StoredObject
 
 __all__ = ["StagingServer"]
@@ -43,7 +44,7 @@ class StagingServer:
     sending each server only the shards it owns (exactly as in DataSpaces,
     where the client library computes DHT placement).
 
-    Each server owns one reentrant lock guarding its store and index, so
+    Each server owns one reentrant lock guarding its store and blobs, so
     requests for *different* servers proceed in parallel while requests for
     the same server serialize — the paper's one-service-thread-per-server
     model. The lock is the innermost tier of the lock hierarchy (see
@@ -54,11 +55,10 @@ class StagingServer:
     def __init__(self, server_id: int) -> None:
         self.server_id = server_id
         self.store = ObjectStore()
-        self.index = SpatialIndex()
         self.lock = threading.RLock()
         # Protection side-store: opaque uint8 blobs (parity shards, shard
         # copies) keyed by (name, version) -> {blob key: bytes}. Kept outside
-        # the ObjectStore so the store/index lockstep invariant stays exact;
+        # the ObjectStore so its fragment and byte counts stay payload-only;
         # evicting a (name, version) drops its blobs with it.
         self._blobs: dict[tuple[str, int], dict[str, np.ndarray]] = {}
         self._blob_bytes = 0
@@ -71,10 +71,9 @@ class StagingServer:
     # ----------------------------------------------------------- journaling
 
     def enable_journal(self) -> None:
-        """Start journaling store/index/blob mutations (idempotent)."""
+        """Start journaling store/blob mutations (idempotent)."""
         with self.lock:
             self.store.enable_journal()
-            self.index.enable_journal()
             if self._blob_journal is None:
                 self._blob_journal = []
 
@@ -82,20 +81,19 @@ class StagingServer:
         """Stop journaling and drop pending journals."""
         with self.lock:
             self.store.disable_journal()
-            self.index.disable_journal()
             self._blob_journal = None
             self._blob_journal_bytes = 0
 
     def journal_mutation_count(self) -> int:
-        """Mutations journaled since the last seal, across all layers; O(1)."""
+        """Mutations journaled since the last seal, store and blobs; O(1)."""
         with self.lock:
             blobs = len(self._blob_journal) if self._blob_journal is not None else 0
-            return self.store.journal_len + self.index.journal_len + blobs
+            return self.store.journal_len + blobs
 
     def seal_delta(self) -> dict:
         """Detach this epoch's journals in O(1) and start the next epoch.
 
-        Called under the service's quiescence gate, so the three journals
+        Called under the service's quiescence gate, so both journals
         are sealed at one consistent cut. The returned dict is raw journal
         lists plus the running totals (``nbytes``, ``mutations``) kept at
         record time — packaging into a checkpoint delta happens outside any
@@ -104,14 +102,11 @@ class StagingServer:
         with self.lock:
             blobs = self._blob_journal if self._blob_journal is not None else []
             nbytes = self.store.journal_put_bytes + self._blob_journal_bytes
-            mutations = (
-                self.store.journal_len + self.index.journal_len + len(blobs)
-            )
+            mutations = self.store.journal_len + len(blobs)
             self._blob_journal = []
             self._blob_journal_bytes = 0
             return {
                 "store": self.store.seal_journal(),
-                "index": self.index.seal_journal(),
                 "blobs": blobs,
                 "nbytes": nbytes,
                 "mutations": mutations,
@@ -120,26 +115,14 @@ class StagingServer:
     # ------------------------------------------------------------------ ops
 
     def put(self, desc: ObjectDescriptor, data: np.ndarray) -> StoredObject:
-        """Store one fragment and index it.
-
-        A fragment is indexed exactly when the store accepted it as a *new*
-        fragment — detected by fragment count, not byte delta, so zero-byte
-        payloads are indexed too and fully-redundant re-puts (which the
-        store drops) are not double-counted.
-        """
+        """Store one fragment (a fully redundant re-put returns the fragment
+        already held and changes nothing)."""
         t0 = perf_counter()
         with self.lock:
-            obj = self._put_locked(desc, data)
+            obj = self.store.put(desc, data)
         _PUT_COUNT.inc()
         _PUT_BYTES.inc(obj.nbytes)
         _PUT_SECONDS.record(perf_counter() - t0)
-        return obj
-
-    def _put_locked(self, desc: ObjectDescriptor, data: np.ndarray) -> StoredObject:
-        before = self.store.fragment_count(desc.name, desc.version)
-        obj = self.store.put(desc, data)
-        if self.store.fragment_count(desc.name, desc.version) > before:
-            self.index.insert(desc, obj.nbytes)
         return obj
 
     def put_many(
@@ -157,7 +140,7 @@ class StagingServer:
         """
         t0 = perf_counter()
         with self.lock:
-            objs = [self._put_locked(desc, data) for desc, data in items]
+            objs = [self.store.put(desc, data) for desc, data in items]
             if retain is not None:
                 self.evict_consumed(*retain)
         _PUT_COUNT.inc(len(items))
@@ -250,11 +233,6 @@ class StagingServer:
                 raise ObjectNotFound(f"no blob {key!r} for {name!r} v{version}")
             return bucket[key]
 
-    def blob_keys(self, name: str, version: int) -> list[str]:
-        """Keys of blobs held for (name, version)."""
-        with self.lock:
-            return sorted(self._blobs.get((name, version), ()))
-
     def covers(self, desc: ObjectDescriptor) -> bool:
         """True when this server can fully serve ``desc``."""
         with self.lock:
@@ -274,13 +252,13 @@ class StagingServer:
         """Drop (name, version) — fragments *and* protection blobs; returns
         bytes freed."""
         with self.lock:
-            self.index.remove_version(name, version)
             freed = self.store.evict(name, version)
             freed += self._evict_blobs((name, version))
         _EVICT_COUNT.inc()
         _EVICT_BYTES.inc(freed)
         return freed
 
+    # Not a wire op: evict_consumed's helper, also traced by the benchmark.
     def evict_older_than_version(self, name: str, version: int) -> int:
         """Drop versions of ``name`` strictly below ``version``; returns bytes."""
         with self.lock:
@@ -301,32 +279,20 @@ class StagingServer:
                 return 0
             return self.evict_older_than_version(name, min(floor, latest))
 
+    # No client sends this; it stays because the per-layer benchmark traces it.
     def keep_only_latest(self, name: str) -> int:
-        """Original-DataSpaces retention: keep only the newest version.
-
-        Returns bytes freed. This is the behaviour the paper's *original data
-        staging* baseline (``Ds``) exhibits; the logging store deliberately
-        retains more (Figure 9(c)/(d) measures exactly that difference).
-        """
-        with self.lock:
-            latest = self.store.latest_version(name)
-            if latest is None:
-                return 0
-            freed = 0
-            for v in self.store.versions(name):
-                if v != latest:
-                    freed += self.evict(name, v)
-            return freed
+        """Original-DataSpaces retention (the paper's ``Ds`` baseline): keep
+        only the newest version of ``name``. Returns bytes freed."""
+        return self.evict_consumed(name, math.inf)
 
     # ------------------------------------------------------------ snapshot
 
     def snapshot(self) -> dict:
-        """Capture store, index, *and* protection blobs for coordinated
+        """Capture store *and* protection blobs for coordinated
         checkpointing (blob payloads are immutable; only containers copy)."""
         with self.lock:
             return {
                 "store": self.store.snapshot(),
-                "index": self.index.snapshot(),
                 "blobs": {k: dict(v) for k, v in self._blobs.items()},
             }
 
@@ -336,18 +302,17 @@ class StagingServer:
         return StagingServer(-1).snapshot()
 
     def restore(self, snap: dict, deltas=()) -> None:
-        """Roll store, index, and blobs back together (coordinated rollback).
+        """Roll store and blobs back together (coordinated rollback).
 
         ``deltas`` are this server's sealed epochs (:meth:`seal_delta`
-        results) recorded after ``snap``, oldest first: each layer restores
-        its base and then re-applies its own journals, so an incremental
-        checkpoint restores in place. Restoring all three together means a
-        rollback can never leave the metadata layer pointing at rolled-back
-        versions. Open journals restart empty.
+        results) recorded after ``snap``, oldest first: each side restores
+        its base and then re-applies its own journal, so an incremental
+        checkpoint restores in place. Restoring both together means a
+        rollback can never leave a rolled-back version's blobs behind. Open
+        journals restart empty.
         """
         with self.lock:
             self.store.restore(snap["store"], [d["store"] for d in deltas])
-            self.index.restore(snap["index"], [d["index"] for d in deltas])
             journaling = self._blob_journal is not None
             self._blob_journal = None
             self._blobs = {k: dict(v) for k, v in snap["blobs"].items()}
@@ -364,14 +329,6 @@ class StagingServer:
                 self._blob_journal = []
                 self._blob_journal_bytes = 0
 
-    def rebuild_index(self) -> None:
-        """Regenerate the index from the store's fragments."""
-        with self.lock:
-            self.index.clear()
-            for name, version in self.store.keys():
-                for frag in self.store.fragments(name, version):
-                    self.index.insert(frag.desc, frag.nbytes)
-
     # -------------------------------------------------------------- metrics
 
     @property
@@ -383,13 +340,3 @@ class StagingServer:
     def protection_nbytes(self) -> int:
         """Bytes held in protection blobs (parity shards, shard copies)."""
         return self._blob_bytes
-
-    def summary(self) -> dict:
-        """Small diagnostic snapshot for logging and tests."""
-        return {
-            "server_id": self.server_id,
-            "nbytes": self.nbytes,
-            "protection_nbytes": self.protection_nbytes,
-            "fragments": self.store.object_count,
-            "names": self.index.names(),
-        }

@@ -237,11 +237,6 @@ class ObjectStore:
         """All fragments stored for (name, version)."""
         return list(self._objects.get((name, version), ()))
 
-    def fragment_count(self, name: str, version: int) -> int:
-        """Number of fragments stored for (name, version); O(1)."""
-        frags = self._objects.get((name, version))
-        return len(frags) if frags else 0
-
     def keys(self) -> list[tuple[str, int]]:
         """All (name, version) pairs with at least one fragment."""
         return list(self._objects)

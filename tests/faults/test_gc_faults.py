@@ -18,7 +18,13 @@ from repro.core.garbage import GarbageCollector
 from repro.descriptors import ObjectDescriptor
 from repro.faults import FaultPlan, inject_faults
 from repro.geometry import Domain
-from repro.staging import ProtectionConfig, RetryPolicy, StagingClient, StagingGroup
+from repro.staging import (
+    ProtectionConfig,
+    RetryPolicy,
+    StagingClient,
+    StagingGroup,
+    StagingServer,
+)
 
 from tests.conftest import make_payload
 
@@ -162,9 +168,9 @@ class TestCrashWritesOff:
         inject_faults(group, [_plan("flaky", server=1, calls=2)])
         gc.collect()
         assert log.pending_eviction_count(1) == 2
-        # Simulate replacement: heal the proxy and clear its store.
+        # Simulate replacement: heal the proxy and wipe its store and blobs.
         group.servers[1].heal()
-        group.servers[1].inner.store.clear()
+        group.servers[1].restore(StagingServer.empty_snapshot())
         drained, _freed = log.drain_pending_evictions()
         assert drained == 2
         assert log.pending_eviction_count() == 0

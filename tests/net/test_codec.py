@@ -305,3 +305,44 @@ class TestScatterGather:
         out = decode(encode(arr))
         assert type(out) is np.ndarray
         np.testing.assert_array_equal(out, np.arange(640, dtype=np.float64))
+
+
+# ---------------------------------------------------------------------------
+# checkpoint payloads ride the typed tags, not the pickle fallback
+
+
+def test_server_snapshot_and_delta_encode_without_pickle(monkeypatch):
+    """A staging server's ``snapshot()`` and ``seal_delta()`` — fragments,
+    blobs and a journal holding puts, blob puts and evictions — are built
+    only from types the codec encodes natively, and round-trip to the
+    same server state."""
+    import repro.net.codec as codec
+    from repro.staging.server import StagingServer
+
+    pickled = []
+    real = codec._encode_pickle
+    monkeypatch.setattr(
+        codec, "_encode_pickle", lambda buf, obj: (pickled.append(type(obj)), real(buf, obj))
+    )
+    srv = StagingServer(0)
+    srv.enable_journal()
+    for v in range(3):
+        for lo, hi in ((0, 4), (4, 8)):
+            d = ObjectDescriptor("u", v, BBox((lo,), (hi,)))
+            srv.put(d, np.full(4, float(v)))
+        srv.put_blob("u", v, "p0", np.arange(5, dtype=np.uint8))
+    srv.evict("u", 0)
+    snap = decode(encode(srv.snapshot()))
+    delta = decode(encode(srv.seal_delta()))
+    assert pickled == []
+
+    from_delta, from_snap = StagingServer(1), StagingServer(2)
+    from_delta.restore(decode(encode(StagingServer.empty_snapshot())), [delta])
+    from_snap.restore(snap)
+    for restored in (from_delta, from_snap):
+        assert restored.store.versions("u") == [1, 2]
+        assert restored.nbytes == srv.nbytes
+        assert restored.protection_nbytes == srv.protection_nbytes
+        np.testing.assert_array_equal(
+            restored.get(ObjectDescriptor("u", 2, BBox((0,), (8,)))), np.full(8, 2.0)
+        )

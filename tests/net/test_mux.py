@@ -237,9 +237,9 @@ def test_pending_replies_complete_out_of_order():
     try:
         server = group.servers[0]
         slow = server.begin("get", (desc,))  # first in, sleeps in a worker
-        fast = server.begin("blob_keys", ("pend", 1))
+        fast = server.begin("query_versions", ("pend",))
         t0 = time.perf_counter()
-        assert fast.result() == []
+        assert fast.result() == [1]
         assert time.perf_counter() - t0 < 0.35, "the later request waited its turn"
         assert not slow.reply.answered(0)
         np.testing.assert_array_equal(slow.result(), make_payload(desc))
@@ -320,7 +320,7 @@ def test_overlapped_burst_is_windowed_below_queue_depth():
     )
     try:
         server = group.servers[0]
-        handles = [server.begin("blob_keys", ("x", v)) for v in range(40)]
+        handles = [server.begin("query_versions", (f"x{v}",)) for v in range(40)]
         assert [h.result() for h in handles] == [[]] * 40
         metrics = _endpoint(group).request("admin:metrics", ())
         assert metrics["net.mux.shed"]["value"] == 0
@@ -350,7 +350,7 @@ def test_expired_deadline_dropped_server_side_typed():
         endpoint = _endpoint(group)
         with deadline_scope(time.time() - 1.0):
             with pytest.raises(DeadlineExceeded) as err:
-                endpoint.request("blob_keys", ("x", 0))
+                endpoint.request("query_versions", ("x",))
         assert isinstance(err.value, TransientServerError)  # retryable path
         metrics = endpoint.request("admin:metrics", ())
         assert metrics["net.mux.deadline_drops"]["value"] >= 1
@@ -398,7 +398,7 @@ def test_queue_full_sheds_with_server_busy():
         t.start()
         time.sleep(0.2)  # the slow get now occupies the only admission slot
         with pytest.raises(ServerBusy) as err:
-            endpoint.request("blob_keys", ("q", 1))
+            endpoint.request("query_versions", ("q",))
         assert isinstance(err.value, TransientServerError)
         t.join(timeout=30)
         metrics = endpoint.request("admin:metrics", ())

@@ -21,7 +21,7 @@ from repro.net.shm import (
     ShmTransport,
     leaked_segment_names,
 )
-from repro.staging import ProtectionConfig, StagingClient, StagingGroup
+from repro.staging import ProtectionConfig, StagingClient, StagingGroup, StagingServer
 from repro.staging.resilience import rebuild_server
 
 from tests.conftest import make_payload
@@ -163,8 +163,7 @@ class TestRoundTrips:
         client.put(d, make_payload(d))
         snaps = [s.snapshot() for s in shm_group.servers]
         for s in shm_group.servers:
-            s.store.clear()
-            s.rebuild_index()
+            s.restore(StagingServer.empty_snapshot())
         with pytest.raises(ObjectNotFound):
             client.get(d)
         for s, snap in zip(shm_group.servers, snaps):
@@ -280,7 +279,7 @@ class TestFailStop:
         endpoint.process.kill()
         endpoint.process.join(timeout=10)
         with pytest.raises(ServerUnavailable):
-            shm_group.servers[0].summary()
+            shm_group.servers[0].query_versions("u")
 
     def test_killed_server_leaves_no_segments_behind(self):
         """Slabs in flight toward a killed server are retired; close()

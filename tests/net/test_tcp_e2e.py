@@ -19,7 +19,7 @@ from repro.geometry import BBox, Domain
 from repro.net.codec import encode_iov
 from repro.net.protocol import decode_message
 from repro.net.tcp import TcpTransport
-from repro.staging import ProtectionConfig, StagingClient, StagingGroup
+from repro.staging import ProtectionConfig, StagingClient, StagingGroup, StagingServer
 from repro.staging.resilience import rebuild_server
 
 from tests.conftest import make_payload
@@ -82,8 +82,7 @@ class TestRoundTrips:
         client.put(d, make_payload(d))
         snaps = [s.snapshot() for s in tcp_group.servers]
         for s in tcp_group.servers:
-            s.store.clear()
-            s.rebuild_index()
+            s.restore(StagingServer.empty_snapshot())
         with pytest.raises(ObjectNotFound):
             client.get(d)
         for s, snap in zip(tcp_group.servers, snaps):
@@ -131,7 +130,7 @@ class TestFailStop:
         endpoint.process.kill()
         endpoint.process.join(timeout=10)
         with pytest.raises(ServerUnavailable):
-            tcp_group.servers[0].summary()
+            tcp_group.servers[0].query_versions("u")
 
     def test_rebuild_replaces_dead_process(self):
         """rebuild_server spawns a fresh process and repopulates it from
@@ -225,10 +224,11 @@ class TestFaultInjection:
 
 class TestInspection:
     def test_store_and_index_views_read_what_local_servers_expose(self, tcp_group):
-        """``RemoteServer.store`` / ``.index`` answer like the local objects
-        — properties as values, methods as calls, ``len()`` — and nothing
-        outside the server's allow-list is reachable, by attribute or by a
-        hand-issued ``admin:inspect``."""
+        """``RemoteServer.store`` answers like the local store — properties
+        as values, methods as calls — and nothing outside the server's
+        read-only allow-list is reachable, by attribute or by a hand-issued
+        ``admin:inspect``: no mutator, and no second metadata copy beside
+        the store."""
         inproc = StagingGroup.create(DOMAIN, num_servers=2, transport="inproc")
         for g in (tcp_group, inproc):
             client = StagingClient(g, client_id="w")
@@ -239,17 +239,20 @@ class TestInspection:
             assert remote.store.nbytes == local.store.nbytes
             assert remote.store.keys() == local.store.keys()
             assert remote.store.versions("u") == local.store.versions("u")
-            assert remote.index.names() == local.index.names()
-            assert remote.index.versions("u") == local.index.versions("u")
-            assert remote.index.nbytes() == local.index.nbytes()
-            assert len(remote.index) == len(local.index) > 0
+            assert remote.store.latest_version("u") == local.store.latest_version("u")
+            assert remote.store.object_count > 0
 
         server = tcp_group.servers[0]
-        with pytest.raises(AttributeError):
-            server.store.restore  # mutators are not part of the read facade
-        with pytest.raises(AttributeError):
-            server.index.insert
-        for owner, name in (("store", "restore"), ("index", "clear"), ("lock", "acquire")):
+        for mutator in ("restore", "clear", "evict", "put"):
+            with pytest.raises(AttributeError):
+                getattr(server.store, mutator)  # not part of the read facade
+        assert not hasattr(server, "index")
+        for owner, name in (
+            ("store", "restore"),
+            ("store", "clear"),
+            ("index", "versions"),
+            ("lock", "acquire"),
+        ):
             with pytest.raises(StagingError, match="not exposed"):
                 server._endpoint.request("admin:inspect", (owner, name, ()))
         assert server.ping()  # a refused inspection costs nothing else

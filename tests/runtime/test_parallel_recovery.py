@@ -46,7 +46,7 @@ from repro.staging.resilience import rebuild_server
 from repro.workloads import coupled_specs
 
 from tests.conftest import make_payload
-from tests.staging.test_store_index_invariant import check_lockstep
+from tests.staging.test_store_index_invariant import check_invariants
 
 pytestmark = pytest.mark.integration
 
@@ -141,7 +141,7 @@ def run_restore_workload(parallel: bool, epochs: list[int]) -> dict:
     for which, snap_i in (("last", len(snaps) - 1), ("first", 0)):
         svc.restore(snaps[snap_i])
         for srv in svc.group.servers:
-            check_lockstep(srv)
+            check_invariants(srv)
         live = sum(epochs[:snap_i])
         reader = StagingClient(svc.group)  # exact-version reads
         for name in NAMES:

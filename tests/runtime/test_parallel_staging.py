@@ -8,7 +8,7 @@ thread concurrency over >= 4 servers and check the three promises:
 * flow control and interruptible waits still work (no deadlock, prompt
   aborts) while payload phases are in flight;
 * snapshot/restore quiesce the data plane, so concurrent rollback keeps
-  every server's store and index in lockstep.
+  every server's store and blobs consistent with their running totals.
 
 Payloads are sized above ``PARALLEL_THRESHOLD_BYTES`` so the pool fan-out
 path actually runs (small payloads stay on the caller's thread by design).
@@ -29,7 +29,7 @@ from repro.staging import StagingGroup
 from repro.staging.client import PARALLEL_THRESHOLD_BYTES
 
 from tests.conftest import make_payload, requires_inproc
-from tests.staging.test_store_index_invariant import check_lockstep
+from tests.staging.test_store_index_invariant import check_invariants
 
 pytestmark = pytest.mark.integration
 
@@ -223,13 +223,13 @@ class TestRollbackUnderConcurrency:
             t.join(timeout=30)
             assert not t.is_alive(), "producers deadlocked against restore"
         assert not errors, errors
-        # Every server's metadata stayed in lockstep with its payload store.
+        # Every server's running totals still match its store and blobs.
         for srv in svc.group.servers:
-            check_lockstep(srv)
+            check_invariants(srv)
         # And a final full rollback still lands exactly on the base image.
         svc.restore(base)
         for srv in svc.group.servers:
-            check_lockstep(srv)
+            check_invariants(srv)
             assert srv.store.object_count == 0
 
     @requires_inproc
@@ -252,7 +252,7 @@ class TestRollbackUnderConcurrency:
         t = threading.Thread(target=producer)
         t.start()
         # Snapshots taken while puts are in flight must each be internally
-        # consistent: restoring any of them yields lockstep servers and a
+        # consistent: restoring any of them yields consistent servers and a
         # fully assembled (never torn) payload for whatever they captured.
         for _ in range(5):
             snap = svc.snapshot()

@@ -3,8 +3,7 @@
 The contract of ``repro.staging.cow`` is exact equivalence: composing a
 ``base + deltas`` chain must yield byte-for-byte the snapshot a full copy
 would have produced at the same instant, and restoring an incremental
-snapshot must bring back byte-identical stores, index entries, blobs,
-protection records, health, and read frontiers. Hypothesis drives random
+snapshot must bring back byte-identical stores, blobs, protection records, health, and read frontiers. Hypothesis drives random
 put / get (frontier advance) / evict / snapshot / restore (rollback)
 interleavings through the synchronized service with ``max_chain=2`` so
 chain compaction boundaries are crossed constantly; directed tests cover
@@ -23,14 +22,13 @@ from repro.core import WorkflowStaging
 from repro.descriptors import ObjectDescriptor
 from repro.geometry import BBox, Domain
 from repro.runtime.staging_service import SynchronizedStaging
-from repro.staging import ProtectionConfig, RetryPolicy, StagingGroup
+from repro.staging import ObjectStore, ProtectionConfig, RetryPolicy, StagingGroup
 from repro.staging.cow import (
     compose_chain,
     full_snapshot_bytes,
     is_cow_snapshot,
     snapshot_cost_bytes,
 )
-from repro.staging.index import SpatialIndex
 
 from tests.conftest import make_payload, requires_inproc
 
@@ -44,11 +42,13 @@ BOXES = (
 
 
 def make_service(
-    max_chain: int = 2, protection: ProtectionConfig | None = None
+    max_chain: int = 2,
+    protection: ProtectionConfig | None = None,
+    num_servers: int = 3,
 ) -> SynchronizedStaging:
     group = StagingGroup.create(
         Domain(DOMAIN_SHAPE),
-        num_servers=3,
+        num_servers=num_servers,
         protection=protection,
         retry=RetryPolicy(base_backoff=0.001, max_backoff=0.004),
     )
@@ -68,25 +68,23 @@ def make_service(
 # bytes explicitly — "identical" below always means byte-identical.
 
 
-def _server_fp(store_objects, index_entries, blobs):
+def _server_fp(store_objects, blobs):
     store = tuple(
         (key, tuple((o.desc, o.data.tobytes()) for o in objs))
         for key, objs in sorted(store_objects.items())
     )
-    index = tuple((key, tuple(es)) for key, es in sorted(index_entries.items()))
     blob = tuple(
         (key, tuple(sorted((bk, b.tobytes()) for bk, b in bucket.items())))
         for key, bucket in sorted(blobs.items())
     )
-    return (store, index, blob)
+    return (store, blob)
 
 
 def live_fp(service: SynchronizedStaging):
     """Fingerprint of the live service state (data + coupling + resilience)."""
     group = service.group
     servers = tuple(
-        _server_fp(s.store._objects, s.index._entries, s._blobs)
-        for s in group.servers
+        _server_fp(s.store._objects, s._blobs) for s in group.servers
     )
     records = tuple(
         (key, tuple(sorted(recs.items())))
@@ -105,16 +103,13 @@ def snap_fp(full: dict):
     """Fingerprint of a seed-format full snapshot, aggregates included."""
     servers = []
     for s in full["servers"]:
-        fp = _server_fp(s["store"]["objects"], s["index"]["entries"], s["blobs"])
-        agg = s["index"].get("aggregates")
+        fp = _server_fp(s["store"]["objects"], s["blobs"])
         servers.append(
             (
                 fp,
                 s["store"]["bytes"],
                 s["store"].get("count"),
                 s["store"].get("versions"),
-                None if agg is None else tuple(sorted(agg["volumes"].items())),
-                None if agg is None else (agg["total_bytes"], agg["count"]),
             )
         )
     records = tuple(
@@ -336,7 +331,7 @@ class TestChainLifecycle:
         service.snapshot()  # base; journaling on
         ckpt = service.staging.checkpointer
         ckpt.full_fallback_ratio = 0.0
-        # >64 journaled mutations with tiny live state: replaying would cost
+        # >32 journaled mutations with tiny live state: replaying would cost
         # more than re-copying, so the next capture must re-base.
         put_versions(service, "churn", list(range(40)), box=BOXES[1])
         assert ckpt.wants_full()
@@ -345,6 +340,37 @@ class TestChainLifecycle:
         assert snap["chain"]["deltas"] == ()  # fresh base, chain restarted
         service.restore(snap)
         assert service.group.servers[0].store.versions("churn")
+
+    @pytest.mark.parametrize(
+        ("num_servers", "full_at"),
+        [
+            # 4 fragments a version, 16 live: each step journals 4 puts + 1
+            # evict, so step 7 (35 entries) is the first past the 32-entry
+            # floor; below it a delta is always cheap enough.
+            (1, 7),
+            # 12 fragments a version over 3 servers, 48 live: each step
+            # journals 12 puts + 3 evicts; step 3 (45) stays a delta and
+            # step 4 (60) reaches ratio 1.0 x 48 live fragments.
+            (3, 4),
+        ],
+    )
+    def test_fallback_step_at_ratio_one(self, num_servers, full_at):
+        """Store-only churn with a constant live set: the capture turns full
+        at the first step whose journal holds more than 32 entries and at
+        least one entry per live fragment."""
+        service = make_service(max_chain=100, num_servers=num_servers)
+        put_versions(service, "x", range(4), box=BOXES[0])
+        service.snapshot()  # base; journaling on
+        ckpt = service.staging.checkpointer
+        assert ckpt.full_fallback_ratio == 1.0
+        live = sum(s.store.object_count for s in service.group.servers)
+        assert live == (16 if num_servers == 1 else 48)
+        for step in range(1, full_at + 1):
+            put_versions(service, "x", [3 + step], box=BOXES[0])
+            evict_version(service, "x", step - 1)
+            assert ckpt.wants_full() is (step == full_at), step
+        snap = service.snapshot()
+        assert snap["chain"]["deltas"] == ()  # re-based: a full capture
 
 
 class TestSeedCompatibility:
@@ -395,31 +421,18 @@ class TestSeedCompatibility:
 
 
 class TestCoveredFastPaths:
-    def test_volume_early_out_rejects_without_geometry(self):
-        idx = SpatialIndex()
-        d = ObjectDescriptor("x", 0, BBox((0,), (4,)))
-        idx.insert(d, 32)
-        # Summed fragment volume (4) < region volume (16): provably uncovered.
-        assert not idx.covered("x", 0, BBox((0,), (16,)))
-        # Single-fragment fast path: containment decides directly.
-        assert idx.covered("x", 0, BBox((1,), (3,)))
-        assert not idx.covered("x", 0, BBox((2,), (6,)))
-
     def test_multi_fragment_coverage_still_exact(self):
-        idx = SpatialIndex()
+        store = ObjectStore()
         for lo, hi in ((0, 4), (4, 8)):
-            d = ObjectDescriptor("x", 0, BBox((lo,), (hi,)))
-            idx.insert(d, (hi - lo) * 8)
-        assert idx.covered("x", 0, BBox((0,), (8,)))
-        assert idx.covered("x", 0, BBox((2,), (6,)))
-        assert not idx.covered("x", 0, BBox((2,), (9,)))
-        # Overlapping fragments: summed volume exceeds the region but holes
-        # remain — the early-out must not claim coverage.
-        idx2 = SpatialIndex()
+            store.put(ObjectDescriptor("x", 0, BBox((lo,), (hi,))), np.arange(lo, hi) * 1.0)
+        for lo, hi, covered in ((0, 8, True), (2, 6, True), (2, 9, False)):
+            assert store.covers(ObjectDescriptor("x", 0, BBox((lo,), (hi,)))) is covered
+        # Overlapping fragments: their summed volume exceeds the region but
+        # holes remain, so coverage must not be claimed.
         for lo, hi in ((0, 4), (1, 5), (2, 6)):
-            d = ObjectDescriptor("y", 0, BBox((lo,), (hi,)))
-            idx2.insert(d, (hi - lo) * 8)
-        assert not idx2.covered("y", 0, BBox((0,), (12,)))
+            # A payload keyed by global position, so overlaps agree.
+            store.put(ObjectDescriptor("y", 0, BBox((lo,), (hi,))), np.arange(lo, hi) * 1.0)
+        assert not store.covers(ObjectDescriptor("y", 0, BBox((0,), (12,))))
 
 
 class TestObsReport:

@@ -398,7 +398,7 @@ class TestProtectedPathPerServerPolicy:
             client.put(d, make_payload(d))
             (rec,) = group.records.all_records()
             assert [(p.group, p.j, p.server) for p in rec.parity] == [(0, 0, 3), (1, 0, 1)]
-            assert rec.parity_blob_key(1, 0) in group.servers[1].blob_keys("field", 0)
+            assert group.servers[1].get_blob("field", 0, rec.parity_blob_key(1, 0)).size
             assert group.health.state(0) == "down"
             assert not unsettled(group)
             np.testing.assert_array_equal(client.get(d), make_payload(d))

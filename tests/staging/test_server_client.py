@@ -27,7 +27,7 @@ class TestServer:
         srv.put(d, data)
         srv.put(d, data)
         assert srv.nbytes == d.nbytes
-        assert len(srv.index) == 1
+        assert srv.store.object_count == 1
 
     def test_keep_only_latest(self):
         srv = StagingServer(0)
@@ -58,14 +58,6 @@ class TestServer:
         assert srv.evict_consumed("x", 9) == 4 * 8
         assert srv.query_versions("x") == [3]
         assert srv.evict_consumed("nope", 1) == 0
-
-    def test_summary(self):
-        srv = StagingServer(2)
-        srv.put(ObjectDescriptor("rho", 0, BBox((0,), (4,))), np.zeros(4))
-        s = srv.summary()
-        assert s["server_id"] == 2
-        assert s["names"] == ["rho"]
-        assert s["fragments"] == 1
 
 
 class TestGroup:

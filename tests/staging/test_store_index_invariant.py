@@ -1,23 +1,27 @@
-"""Property test: a server's store and spatial index never drift apart.
+"""Property test: a server's store is an exact index of what it holds.
 
-The staging server promises that ``index.versions(name) ==
-store.versions(name)`` and ``index.nbytes() == store.nbytes`` hold after
-every operation (see the StagingServer docstring). Two past bugs broke it:
+A staging server keeps no metadata beside its :class:`ObjectStore`: the
+store's ``(name, version)`` map answers versions, coverage and byte totals,
+from running aggregates it updates on every put and evict. Two past bugs
+broke the server's metadata when it still had a second copy of it:
 
 * ``put`` indexed on the store's *byte delta*, so zero-byte fragments
   (itemsize-0 dtypes such as ``"V0"``) entered the store but never the
-  index, and ``index.nbytes()`` drifted from ``store.nbytes``;
-* coordinated rollback restored the store but not the index, leaving stale
-  entries for rolled-back versions.
+  metadata, and its byte total drifted from ``store.nbytes``;
+* coordinated rollback restored the store but not the metadata, leaving
+  stale entries for rolled-back versions.
 
 Hypothesis drives arbitrary sequences of put / put-blob / evict /
-evict-older-than / keep-only-latest (the GC retention primitive) / snapshot /
-restore and checks the invariant at every step. The same walk journals every
-mutation and checks, at every step, that a fresh server (and a fresh
-``ProtectionIndex``) restored from the epoch base plus the sealed journals
-is indistinguishable from the live one — the incremental-checkpoint restore
-path, one journal epoch per operation.
+``evict_consumed`` (the retention op clients send) / snapshot / restore and
+checks, at every step, that the store's and the blob side-store's running
+totals equal full recomputes. The same walk journals every mutation and
+checks, at every step, that a fresh server (and a fresh ``ProtectionIndex``)
+restored from the epoch base plus the sealed journals is indistinguishable
+from the live one — the incremental-checkpoint restore path, one journal
+epoch per operation.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -54,53 +58,36 @@ ops = st.one_of(
     st.tuples(st.just("put"), names, versions, boxes),
     st.tuples(st.just("blob"), names, versions, st.sampled_from(["p0", "p1"])),
     st.tuples(st.just("evict"), names, versions),
-    st.tuples(st.just("evict_older"), names, versions),
-    st.tuples(st.just("keep_latest"), names),
+    # Retention floors: below, at and past every version (inf = keep only
+    # the newest).
+    st.tuples(st.just("retain"), names, st.sampled_from([0, 1, 2, 3, 4, math.inf])),
     st.tuples(st.just("snapshot")),
     st.tuples(st.just("restore")),
 )
 
 
-def check_lockstep(srv) -> None:
+def check_invariants(srv) -> None:
     if not isinstance(srv, StagingServer):
-        # A remote proxy (wire transport): the live index and raw store
-        # dicts are in another process. Materialize the server's state
-        # locally and check the invariants on the reconstruction — this
-        # still catches store/index drift (the snapshot carries both),
-        # while in-process aggregate drift stays covered by the inproc
-        # lane, which always runs these tests.
+        # A remote proxy (wire transport): the raw store dicts are in
+        # another process. Materialize the server's state locally and check
+        # the invariants on the reconstruction, while in-process aggregate
+        # drift stays covered by the inproc lane, which always runs these
+        # tests.
         local = StagingServer(srv.server_id)
         local.restore(srv.snapshot())
         srv = local
-    store, index = srv.store, srv.index
-    assert index.names() == sorted({n for n, _v in store.keys()})
-    for name in index.names():
-        assert index.versions(name) == store.versions(name)
-    assert index.nbytes() == store.nbytes
-    assert len(index) == store.object_count
     check_running_aggregates(srv)
 
 
 def check_running_aggregates(srv: StagingServer) -> None:
     """The O(1) running totals must equal full recomputes from raw state.
 
-    Both the index and the store maintain incremental aggregates (byte
-    totals, entry counts, per-name version sets) instead of scanning; any
-    missed update path would silently skew flow control and GC decisions.
+    The store keeps incremental aggregates (byte total, fragment count,
+    per-name version sets) and the blob side-store a byte total, instead of
+    scanning; any missed update path would silently skew flow control and
+    GC decisions.
     """
-    index, store = srv.index, srv.store
-    entries = [e for es in index._entries.values() for e in es]
-    assert index._total_bytes == sum(e.nbytes for e in entries)
-    assert index._logged_bytes == sum(e.nbytes for e in entries if e.logged)
-    assert index._count == len(entries)
-    index_versions = {}
-    for name, version in index._entries:
-        index_versions.setdefault(name, set()).add(version)
-    assert index._versions == index_versions
-    volumes = {}
-    for key, es in index._entries.items():
-        volumes[key] = sum(e.desc.bbox.volume for e in es)
-    assert index._volumes == volumes
+    store = srv.store
     objects = store._objects
     assert store._count == sum(len(frags) for frags in objects.values())
     assert store.nbytes == sum(
@@ -110,6 +97,13 @@ def check_running_aggregates(srv: StagingServer) -> None:
     for name, version in objects:
         store_versions.setdefault(name, set()).add(version)
     assert store._versions == store_versions
+    for name, vs in store_versions.items():
+        assert store.versions(name) == sorted(vs)
+        assert store.latest_version(name) == max(vs)
+    assert srv.protection_nbytes == sum(
+        b.nbytes for bucket in srv._blobs.values() for b in bucket.values()
+    )
+    assert all(srv._blobs.values())  # no empty bucket outlives its blobs
 
 
 def comparable(server_snap: dict) -> dict:
@@ -158,11 +152,13 @@ def test_store_and_index_stay_in_lockstep(op_list):
         elif kind == "evict":
             srv.evict(op[1], op[2])
             records.evict(op[1], op[2])
-        elif kind == "evict_older":
-            srv.evict_older_than_version(op[1], op[2])
-            records.evict_older_than(op[1], op[2])
-        elif kind == "keep_latest":
-            srv.keep_only_latest(op[1])
+        elif kind == "retain":
+            _, name, floor = op
+            latest = srv.store.latest_version(name)
+            srv.evict_consumed(name, floor)
+            if latest is not None:
+                # What non-logged retention does to the group's records.
+                records.evict_older_than(name, min(floor, latest))
         elif kind == "snapshot":
             saved = (srv.snapshot(), records.snapshot())
         elif kind == "restore":
@@ -170,7 +166,7 @@ def test_store_and_index_stay_in_lockstep(op_list):
             records.restore(saved[1])
             base, sealed = saved, []  # a restore restarts the journal epoch
         sealed.append((srv.seal_delta(), records.seal_journal()))
-        check_lockstep(srv)
+        check_invariants(srv)
         check_journal_restore(srv, records, base, sealed)
 
 
@@ -182,9 +178,10 @@ class TestZeroByteRegression:
         desc = ObjectDescriptor("marker", 0, BBox((0,), (4,)), dtype="V0")
         srv.put(desc, np.zeros((4,), dtype="V0"))
         assert srv.store.versions("marker") == [0]
-        assert srv.index.versions("marker") == [0]
-        assert srv.index.nbytes() == srv.store.nbytes == 0
-        assert len(srv.index) == 1
+        assert srv.query_versions("marker") == [0]
+        assert srv.covers(desc)
+        assert srv.nbytes == srv.store.nbytes == 0
+        assert srv.store.object_count == 1
 
     def test_redundant_reput_still_not_double_indexed(self):
         srv = StagingServer(0)
@@ -192,8 +189,8 @@ class TestZeroByteRegression:
         data = np.ones(8)
         srv.put(desc, data)
         srv.put(desc, data)  # store drops the fully-redundant fragment
-        assert len(srv.index) == 1
-        assert srv.index.nbytes() == srv.store.nbytes
+        assert srv.store.object_count == 1
+        assert srv.nbytes == desc.nbytes
 
 
 class TestSnapshotRestore:
@@ -205,15 +202,6 @@ class TestSnapshotRestore:
         d1 = ObjectDescriptor("x", 1, BBox((0,), (4,)))
         srv.put(d1, np.ones(4))
         srv.restore(snap)
-        assert srv.index.versions("x") == [0]
-        check_lockstep(srv)
-
-    def test_rebuild_index_matches_store(self):
-        srv = StagingServer(0)
-        for v in range(3):
-            srv.put(ObjectDescriptor("x", v, BBox((0,), (4,))), np.full(4, float(v)))
-        srv.index.clear()
-        srv.rebuild_index()
-        check_lockstep(srv)
-        # Queries through the rebuilt index see every fragment.
-        assert srv.index.query("x", 2)[0].nbytes == 32
+        assert srv.query_versions("x") == [0]
+        assert not srv.covers(d1)
+        check_invariants(srv)

@@ -89,7 +89,8 @@ class TestWorkflowShape:
         assert "tests/faults" in runs
         # The shm leg must fail if any segment survives the suite.
         assert "/dev/shm/repro-shm-" in runs
-        # The tcp-only carry-over (RemoteServer.index) stays covered.
+        # Coordinated rollback of stores and blobs together runs over the
+        # wire too.
         assert "tests/runtime/test_rollback_index.py" in runs
         # The coordinated scheme (the one runtime user of snapshot/restore)
         # and the recovery differentials run over the wire too.
